@@ -347,33 +347,6 @@ impl Campaign {
     }
 }
 
-/// The parallel fuzzing entry point ("allowing multiple RTL simulation
-/// instances to run in parallel", §5), kept under its historical name.
-///
-/// Formerly each thread ran a fully independent campaign whose disjoint
-/// stats were approximately merged at the end; now this is a thin wrapper
-/// over [`crate::executor::run`]: one shared corpus, one shared gain
-/// threshold, and an exact concurrent coverage union. `iterations_per_
-/// thread` is kept as the historical unit of work — the pool executes
-/// `threads * iterations_per_thread` iterations in total.
-pub fn parallel_run(
-    backend: BackendSpec,
-    opts: FuzzerOptions,
-    threads: usize,
-    iterations_per_thread: usize,
-    rng_seed: u64,
-) -> CampaignStats {
-    let threads = threads.max(1);
-    executor::run(
-        backend,
-        opts,
-        threads,
-        threads * iterations_per_thread,
-        rng_seed,
-    )
-    .stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,9 +435,9 @@ mod tests {
         assert_eq!(m.iterations, 10);
         assert!(m.sim_runs >= a.sim_runs + b.sim_runs);
         assert!(m.bugs.len() <= a.bugs.len() + b.bugs.len(), "dedup applies");
-        // The curve merge (the old implementation dropped curves entirely,
-        // leaving `parallel_run` with an empty one): pointwise max over
-        // the overlap — never the inflated sum.
+        // The curve merge (the old implementation dropped curves
+        // entirely): pointwise max over the overlap — never the inflated
+        // sum.
         assert_eq!(m.coverage_curve.len(), 5);
         for (i, &c) in m.coverage_curve.iter().enumerate() {
             assert_eq!(c, a.coverage_curve[i].max(b.coverage_curve[i]));
@@ -490,18 +463,6 @@ mod tests {
         m.merge(&b);
         assert_eq!(m.coverage_curve.len(), 6, "longer tail survives");
         assert_eq!(m.coverage_curve[5], b.coverage_curve[5]);
-    }
-
-    #[test]
-    fn parallel_manager_merges_threads() {
-        let stats = parallel_run(
-            BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            2,
-            4,
-            77,
-        );
-        assert_eq!(stats.iterations, 8);
     }
 
     #[test]

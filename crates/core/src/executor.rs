@@ -13,15 +13,15 @@
 //! the [`crate::scheduler::SeedPolicy`] trait (energy decay vs.
 //! favoured-quota corpus picks). Under the default round-robin scheduler:
 //!
-//! 1. The orchestrator plans a batch of iteration slots per worker,
-//!    consulting the seed policy (energy-weighted retained seeds vs.
-//!    fresh exploration) for each slot, and ships each worker its batch
-//!    together with the current gain threshold and the coverage points
-//!    discovered globally since the worker's last batch. (Under the
-//!    work-stealing scheduler the whole round is instead pre-drawn into
-//!    one shared claim queue — slots become mutually independent, idle
-//!    workers claim the next slot instead of waiting behind a slow
-//!    sibling, and commit order still makes the campaign deterministic.)
+//! 1. The orchestrator plans a round from the committed state — a batch
+//!    of iteration slots per worker, consulting the seed policy
+//!    (energy-weighted retained seeds vs. fresh exploration) for each
+//!    slot — and ships each worker its batch together with the current
+//!    gain threshold and the coverage points discovered globally since
+//!    the worker's last round. (Under the work-stealing scheduler the
+//!    whole round is instead pre-drawn into one shared claim queue —
+//!    slots become mutually independent, and idle workers claim the next
+//!    slot instead of waiting behind a slow sibling.)
 //! 2. Each worker folds the broadcast delta into its local *view* of the
 //!    global coverage, then runs the three-phase pipeline for its slots.
 //!    Every observation fans out through [`RecordingCoverage`]: into the
@@ -31,15 +31,20 @@
 //!    lock-striped, exact). Mutation-gain feedback reads only the view,
 //!    so worker decisions never race on shared state. The *canonical*
 //!    union is the orchestrator's deterministic replay below; the shared
-//!    union is the live, lock-free-readable view of the same set (progress
-//!    monitoring, future work-stealing donors) and a runtime cross-check
-//!    that the two accounting paths agree.
-//! 3. Workers flush one batched result message per round — outcomes plus
-//!    their post-round RNG stream position and observed-matrix delta, so
-//!    the orchestrator mirrors every worker's full stream state. The
-//!    orchestrator folds outcomes back in global slot order: stats, the
+//!    union is the live, lock-free-readable view of the same set and a
+//!    runtime cross-check that the two accounting paths agree.
+//! 3. A batch worker replies once per batch — outcomes plus its
+//!    post-batch RNG stream position, so the orchestrator mirrors every
+//!    worker's full stream state; a stealing worker streams each outcome
+//!    the moment it finishes. The orchestrator buffers outcomes by slot
+//!    and commits the contiguous prefix in global slot order: stats, the
 //!    per-iteration exact coverage curve, bug dedup, gain-threshold
 //!    samples and corpus retention all replay deterministically.
+//!
+//! One loop, [`Orchestrator::run_observed`], runs every configuration:
+//! it keeps one round in flight with pipelining off (a barrier per
+//! round) and two with `pipeline_lag >= 1`, planning the next round the
+//! moment the front one is committed.
 //!
 //! The consequence is the property the old end-of-run merge could not
 //! offer: a campaign is **deterministic for a fixed worker count**
@@ -83,6 +88,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -181,54 +187,47 @@ pub(crate) struct IterationOutcome {
     pub error: Option<String>,
 }
 
-/// Models one round's wall-clock on `workers` dedicated cores from the
-/// measured per-slot costs: fixed per-stream chunks for round robin (the
-/// round ends when the slowest chunk does), greedy claim-order list
-/// scheduling for work stealing (each slot goes to the earliest-free
-/// core). Purely a reporting model — scheduling decisions never read it.
-fn round_makespan(outcomes: &[IterationOutcome], workers: usize, stealing: bool) -> u64 {
-    let mut clocks = vec![0u64; workers];
-    for o in outcomes {
-        let core = if stealing {
-            // Greedy: the earliest-free core claims the next slot.
-            (0..workers)
-                .min_by_key(|&w| clocks[w])
-                .expect("workers >= 1")
-        } else {
-            o.stream
-        };
-        clocks[core] += o.elapsed_nanos;
-    }
-    clocks.into_iter().max().unwrap_or(0)
+/// One committed round's measured slot costs, for the makespan model.
+struct RoundCosts {
+    /// Queue-planned round: each slot goes to the earliest-free core
+    /// (greedy claim order). Otherwise each slot is charged to its
+    /// stream's core (the fixed round-robin chunks).
+    greedy: bool,
+    /// `(stream, elapsed nanos)` per slot, in slot order.
+    slots: Vec<(usize, u64)>,
 }
 
-/// Models the pipelined run's wall-clock on `workers` dedicated cores:
-/// per-core clocks persist across rounds (no barrier), and a round's slots
-/// are gated only on the modelled finish of the round two behind it (when
-/// its dispatch happened). Compare [`round_makespan`], which resets the
-/// clocks — i.e. barriers — every round.
+/// Models the run's wall-clock on `workers` dedicated cores from the
+/// measured per-slot costs. Per-core clocks persist across rounds, and
+/// round k's slots start no earlier than the modelled finish of round
+/// k - `depth`, whose commit dispatched it. At depth 1 that gate is the
+/// previous round — a barrier every round, so the model is the sum of
+/// per-round makespans; at depth 2 round k+1's stragglers overlap round
+/// k+2. Purely a reporting model — scheduling decisions never read it.
 ///
-/// Two invariants the scheduling-model tests rely on carry over: every
-/// greedy start time is bounded by the current maximum clock (the gate is
-/// itself an earlier clock value), so the makespan never exceeds the
-/// serial sum of costs; and `workers x makespan >= busy` since each core's
-/// clock bounds its own work.
-fn pipelined_makespan(round_costs: &[Vec<u64>], workers: usize) -> u64 {
+/// Two invariants the scheduling-model tests rely on: every start time
+/// is bounded by the current maximum clock (the gate is itself an
+/// earlier clock value), so the makespan never exceeds the serial sum of
+/// costs; and `workers x makespan >= busy`, since each core's clock
+/// bounds its own work.
+fn modelled_makespan(rounds: &[RoundCosts], workers: usize, depth: usize) -> u64 {
     let mut clocks = vec![0u64; workers];
-    let mut finishes: Vec<u64> = Vec::with_capacity(round_costs.len());
-    for (k, costs) in round_costs.iter().enumerate() {
-        // Round k was dispatched the moment round k-2 fully committed
-        // (the first two rounds are dispatched at start of run).
-        let gate = if k >= 2 { finishes[k - 2] } else { 0 };
-        let mut round_finish = 0u64;
-        for &cost in costs {
-            let core = (0..workers)
-                .min_by_key(|&w| clocks[w])
-                .expect("workers >= 1");
+    let mut finishes: Vec<u64> = Vec::with_capacity(rounds.len());
+    for (k, round) in rounds.iter().enumerate() {
+        let gate = k.checked_sub(depth).map_or(0, |g| finishes[g]);
+        let mut finish = 0u64;
+        for &(stream, cost) in &round.slots {
+            let core = if round.greedy {
+                (0..workers)
+                    .min_by_key(|&w| clocks[w])
+                    .expect("workers >= 1")
+            } else {
+                stream
+            };
             clocks[core] = clocks[core].max(gate) + cost;
-            round_finish = round_finish.max(clocks[core]);
+            finish = finish.max(clocks[core]);
         }
-        finishes.push(round_finish);
+        finishes.push(finish);
     }
     clocks.into_iter().max().unwrap_or(0)
 }
@@ -383,20 +382,16 @@ pub(crate) fn fold_outcome(stats: &mut CampaignStats, o: &IterationOutcome) {
 
 /// Commits one outcome into the session, in global slot order: threshold,
 /// corpus, curve, worker mirrors and observer events all update
-/// deterministically regardless of arrival or claim order. Shared by the
-/// barriered and pipelined orchestrator loops — the commit semantics are
-/// identical, only the moment of commit differs.
-#[allow(clippy::too_many_arguments)] // the commit's full context, spelled out
+/// deterministically regardless of arrival or claim order. Called only
+/// from [`Orchestrator::run_observed`]'s commit path, at every pipeline
+/// depth — the depth changes when a slot commits, never what committing
+/// it does.
 fn commit_outcome(
     s: &mut Session,
-    busy_nanos: &mut u64,
-    view_setup_nanos: &mut u64,
     feedback: bool,
     o: IterationOutcome,
     observers: &mut [Box<dyn CampaignObserver>],
 ) {
-    *busy_nanos += o.elapsed_nanos;
-    *view_setup_nanos += o.view_setup_nanos;
     // Telemetry re-uses the durations the report already measured — no
     // clock reads on the commit path, and the instruments are write-only
     // from the campaign's perspective (the off-commit-path contract).
@@ -481,15 +476,23 @@ fn commit_outcome(
     }
 }
 
-/// A round's worth of fixed-batch work for one worker
-/// ([`crate::scheduler::RoundPlan::Batches`]).
-struct WorkBatch {
-    items: Vec<crate::scheduler::WorkItem>,
+/// One round's work for one worker, with the round-start state it runs
+/// against.
+struct Dispatch {
+    work: Work,
     /// Round-start global gain threshold.
     avg: f64,
     samples: usize,
-    /// Globally fresh points discovered since this worker's last batch.
+    /// Globally fresh points discovered since this worker's last round.
     delta: Vec<CoveragePoint>,
+}
+
+enum Work {
+    /// This worker's fixed batch ([`crate::scheduler::RoundPlan::Batches`]).
+    Batch(Vec<crate::scheduler::WorkItem>),
+    /// The round's shared claim queue
+    /// ([`crate::scheduler::RoundPlan::Queue`]).
+    Queue(Arc<StealQueue>),
 }
 
 /// The shared claim queue of a work-stealing round: pre-drawn slots,
@@ -499,35 +502,14 @@ struct StealQueue {
     next: AtomicUsize,
 }
 
-/// A work-stealing round as shipped to every worker
-/// ([`crate::scheduler::RoundPlan::Queue`]).
-struct StealRound {
-    queue: Arc<StealQueue>,
-    /// Round-start global gain threshold (per-slot frozen).
-    avg: f64,
-    samples: usize,
-    /// Globally fresh points discovered since this worker's last round.
-    delta: Vec<CoveragePoint>,
-    /// Pipelined dispatch: ship each outcome the moment it finishes (one
-    /// [`RoundReply`] per slot) instead of batching the round's results,
-    /// so the orchestrator can commit a contiguous prefix and pre-draw
-    /// the next round while stragglers are still running.
-    streamed: bool,
-}
-
-enum ToWorker {
-    Batch(WorkBatch),
-    Steal(StealRound),
-    Stop,
-}
-
-/// One round's results from one worker: the outcomes plus the stream
-/// state the orchestrator mirrors for snapshots.
+/// Results from one worker: a whole batch's outcomes plus the stream
+/// state the orchestrator mirrors for snapshots, or a single stolen
+/// slot's outcome, sent the moment it finishes.
 struct RoundReply {
     worker: usize,
     outcomes: Vec<IterationOutcome>,
-    /// The worker's RNG position after finishing the round. `None` for
-    /// work-stealing rounds, where workers never draw (the orchestrator's
+    /// The worker's RNG position after finishing the batch. `None` for
+    /// stolen slots, whose workers never draw (the orchestrator's
     /// plan-time mirrors are authoritative).
     rng: Option<[u64; 4]>,
 }
@@ -562,18 +544,23 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(mut self, rx: mpsc::Receiver<ToWorker>, tx: mpsc::Sender<RoundReply>) {
-        while let Ok(msg) = rx.recv() {
-            let reply = match msg {
-                ToWorker::Stop => return,
-                ToWorker::Batch(b) => Some(self.run_batch(b)),
-                // Streamed steal rounds send per-slot replies themselves.
-                ToWorker::Steal(r) => self.run_steal(r, &tx),
+    /// Runs dispatched rounds until the stop signal (`None`) or until the
+    /// orchestrator goes away.
+    fn run(mut self, rx: mpsc::Receiver<Option<Dispatch>>, tx: mpsc::Sender<RoundReply>) {
+        while let Ok(Some(round)) = rx.recv() {
+            for p in &round.delta {
+                self.view.insert(*p);
+            }
+            let gain = GainAverage {
+                avg: round.avg,
+                samples: round.samples,
             };
-            if let Some(reply) = reply {
-                if tx.send(reply).is_err() {
-                    return; // orchestrator went away
-                }
+            let delivered = match round.work {
+                Work::Batch(items) => tx.send(self.run_batch(items, gain)).is_ok(),
+                Work::Queue(queue) => self.run_steal(&queue, gain, &tx),
+            };
+            if !delivered {
+                return;
             }
         }
     }
@@ -581,19 +568,17 @@ impl Worker {
     /// One fixed-batch round: the classic chained protocol — this
     /// worker's RNG stream, its long-lived coverage view and its in-round
     /// gain samples thread through the batch's slots in order.
-    fn run_batch(&mut self, batch: WorkBatch) -> RoundReply {
-        for p in &batch.delta {
-            self.view.insert(*p);
-        }
-        // The worker's threshold starts from the global round-start
-        // average and folds in its own in-round samples; the
-        // orchestrator recomputes the exact global sequence afterwards.
-        let mut gain = GainAverage {
-            avg: batch.avg,
-            samples: batch.samples,
-        };
-        let mut outcomes = Vec::with_capacity(batch.items.len());
-        for item in batch.items {
+    ///
+    /// The worker's threshold starts from the global round-start average
+    /// and folds in its own in-round samples; the orchestrator recomputes
+    /// the exact global sequence at commit.
+    fn run_batch(
+        &mut self,
+        items: Vec<crate::scheduler::WorkItem>,
+        mut gain: GainAverage,
+    ) -> RoundReply {
+        let mut outcomes = Vec::with_capacity(items.len());
+        for item in items {
             let start = Instant::now();
             let mut out = run_iteration(
                 self.backend.as_mut(),
@@ -632,22 +617,21 @@ impl Worker {
     /// The freeze is free: `mem::take` out, `Arc::try_unwrap` back in
     /// (no slot view outlives the loop).
     ///
-    /// When `round.streamed` each outcome is sent on `tx` as its own
-    /// single-slot [`RoundReply`] and the return is `None`; otherwise the
-    /// classic one-reply-per-round barrier protocol applies.
+    /// Each outcome is sent on `tx` as its own single-slot [`RoundReply`]
+    /// the moment it finishes, so the orchestrator commits the contiguous
+    /// slot prefix while stragglers still run. Returns false once the
+    /// orchestrator has gone away.
     fn run_steal(
         &mut self,
-        round: StealRound,
+        queue: &StealQueue,
+        gain: GainAverage,
         tx: &mpsc::Sender<RoundReply>,
-    ) -> Option<RoundReply> {
-        for p in &round.delta {
-            self.view.insert(*p);
-        }
+    ) -> bool {
         let base = Arc::new(std::mem::take(&mut self.view));
-        let mut outcomes = Vec::new();
-        loop {
-            let claim = round.queue.next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = round.queue.slots.get(claim) else {
+        let mut delivered = true;
+        while delivered {
+            let claim = queue.next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = queue.slots.get(claim) else {
                 break;
             };
             let setup = Instant::now();
@@ -659,10 +643,7 @@ impl Worker {
             // (physical claim attribution is timing-dependent and must
             // not leak into any persisted or reported state).
             let mut slot_observed = CoverageMatrix::new();
-            let mut gain = GainAverage {
-                avg: round.avg,
-                samples: round.samples,
-            };
+            let mut slot_gain = gain;
             let start = Instant::now();
             let mut out = run_iteration(
                 self.backend.as_mut(),
@@ -674,35 +655,21 @@ impl Worker {
                 &mut slot_view,
                 Some(&mut slot_observed),
                 Some(&self.shared),
-                &mut gain,
+                &mut slot_gain,
             );
             out.stream = item.stream;
             out.elapsed_nanos = start.elapsed().as_nanos() as u64;
             out.view_setup_nanos = view_setup_nanos;
-            if round.streamed {
-                if tx
-                    .send(RoundReply {
-                        worker: self.id,
-                        outcomes: vec![out],
-                        rng: None,
-                    })
-                    .is_err()
-                {
-                    break; // orchestrator went away; stop claiming
-                }
-            } else {
-                outcomes.push(out);
-            }
+            delivered = tx
+                .send(RoundReply {
+                    worker: self.id,
+                    outcomes: vec![out],
+                    rng: None,
+                })
+                .is_ok();
         }
         self.view = Arc::try_unwrap(base).unwrap_or_else(|a| (*a).clone());
-        if round.streamed {
-            return None;
-        }
-        Some(RoundReply {
-            worker: self.id,
-            outcomes,
-            rng: None,
-        })
+        delivered
     }
 }
 
@@ -769,6 +736,115 @@ struct Session {
 struct GossipState {
     published: usize,
     imported: HashSet<CoveragePoint>,
+}
+
+/// One dispatched-but-not-fully-committed round.
+struct InFlight {
+    first_slot: usize,
+    len: usize,
+    /// Dispatch-time gain threshold.
+    avg: f64,
+    samples: usize,
+    /// A queue-planned round's shared claim queue (its pre-drawn slots
+    /// are what a checkpoint persists); `None` for batch plans, which
+    /// never run pipelined.
+    queue: Option<Arc<StealQueue>>,
+    /// The global log watermark at dispatch: the delta from here is what
+    /// a checkpoint must record as `view_behind`.
+    log_mark: usize,
+}
+
+impl InFlight {
+    /// The snapshot form of this round.
+    fn to_pending(&self, log: &CoverageLog) -> PendingRound {
+        PendingRound {
+            first_slot: self.first_slot,
+            slots: self
+                .queue
+                .as_ref()
+                .expect("only queue-planned rounds are pipelined")
+                .slots
+                .clone(),
+            avg: self.avg,
+            samples: self.samples,
+            view_behind: log.delta_since(self.log_mark).to_vec(),
+        }
+    }
+}
+
+/// The worker threads and the orchestrator's ends of their channels.
+struct Pool {
+    /// `None` is the stop signal.
+    to_workers: Vec<mpsc::Sender<Option<Dispatch>>>,
+    from_workers: mpsc::Receiver<RoundReply>,
+    handles: Vec<thread::JoinHandle<()>>,
+    /// Per-worker cursors into the global discovery log, driving the
+    /// dispatch-time view broadcasts.
+    synced: Vec<usize>,
+}
+
+impl Pool {
+    /// Ships a planned round. With `broadcast`, every message carries the
+    /// globally fresh points since that worker's last round (advancing
+    /// its cursor); otherwise the deltas are empty. Returns the claim
+    /// queue of a queue-shaped plan.
+    fn ship(
+        &mut self,
+        plan: RoundPlan,
+        avg: f64,
+        samples: usize,
+        log: &CoverageLog,
+        broadcast: bool,
+    ) -> Option<Arc<StealQueue>> {
+        let (work, queue): (Vec<Option<Work>>, _) = match plan {
+            RoundPlan::Batches(batches) => (
+                batches
+                    .into_iter()
+                    .map(|items| (!items.is_empty()).then_some(Work::Batch(items)))
+                    .collect(),
+                None,
+            ),
+            RoundPlan::Queue(slots) => {
+                let queue = Arc::new(StealQueue {
+                    slots,
+                    next: AtomicUsize::new(0),
+                });
+                let work = (0..self.to_workers.len())
+                    .map(|_| Some(Work::Queue(Arc::clone(&queue))))
+                    .collect();
+                (work, Some(queue))
+            }
+        };
+        for (w, work) in work.into_iter().enumerate() {
+            let Some(work) = work else { continue };
+            let mut delta = Vec::new();
+            if broadcast {
+                delta = log.delta_since(self.synced[w]).to_vec();
+                self.synced[w] = log.watermark();
+            }
+            let round = Dispatch {
+                work,
+                avg,
+                samples,
+                delta,
+            };
+            self.to_workers[w]
+                .send(Some(round))
+                .expect("worker hung up mid-run");
+        }
+        queue
+    }
+
+    /// Stops and joins every worker. Outcomes still in flight are
+    /// dropped with the reply channel.
+    fn stop(self) {
+        for to_worker in &self.to_workers {
+            let _ = to_worker.send(None);
+        }
+        for h in self.handles {
+            h.join().expect("worker panicked");
+        }
+    }
 }
 
 /// The pool coordinator: a fully validated campaign, ready to run. Built
@@ -1175,206 +1251,162 @@ impl Orchestrator {
     /// concatenates seamlessly across a halt/resume boundary (asserted
     /// by `tests/observer.rs`). Wall-clock appears only in
     /// [`CampaignFinished::elapsed`].
+    ///
+    /// # The round loop
+    ///
+    /// The orchestrator keeps `depth` rounds in flight: one with
+    /// pipelining off (`pipeline_lag == 0`, a barrier per round), two with
+    /// any `lag >= 1`. It commits the contiguous slot prefix as replies
+    /// arrive; once the front round is fully committed, its boundary
+    /// actions (gossip, checkpoint, halt check) run and the next round is
+    /// planned from the committed state and dispatched — at depth 2 while
+    /// the round behind is still running, so no worker idles at a barrier.
+    /// The price is a deterministic feedback lag: round k is planned from
+    /// the state committed through round k-2. One round is the minimum lag
+    /// that removes the barrier, so every `lag >= 1` behaves identically,
+    /// and results stay a pure function of `(seed, workers, batch, lag)`
+    /// (asserted by `tests/scheduler.rs`).
+    ///
+    /// Checkpoints carry the in-flight round's pre-drawn plan
+    /// ([`PendingRound`]), so a resume re-dispatches exactly that plan and
+    /// splices bit-identically (asserted by `tests/persist.rs`). The halt
+    /// is checked before every dispatch, the first included: a run already
+    /// at its halt point dispatches nothing, and carries a resumed pending
+    /// round unchanged into its snapshot.
     pub fn run_observed(
         &self,
         iterations: usize,
         observers: &mut [Box<dyn CampaignObserver>],
     ) -> (ExecutorReport, CampaignSnapshot) {
-        if self.pipeline_lag > 0 {
-            // Pipelining on: the cross-round steal pipeline. The builder
-            // guarantees the scheduler supports it.
-            return self.run_pipelined(iterations, observers);
-        }
         let run_start = Instant::now();
         let (mut s, start) = self.session();
+        let mut resumed_pending = self.resume.as_ref().and_then(|snap| snap.pending.clone());
+        let depth = if self.pipeline_lag == 0 { 1 } else { 2 };
 
         // The live concurrent union starts from the restored global so
         // the cross-check invariant (shared == canonical) spans resumes.
+        // Write-only from the workers' perspective, so over-seeding it
+        // with points a pending round has not observed yet is harmless.
         let shared = Arc::new(SharedCoverage::default());
         for p in s.global.iter() {
             shared.observe_point(*p);
         }
 
-        let (from_tx, from_rx) = mpsc::channel();
-        let physical = self.physical_workers();
-        let mut to_workers = Vec::with_capacity(physical);
-        let mut handles = Vec::with_capacity(physical);
-        for id in 0..physical {
-            let (to_tx, to_rx) = mpsc::channel();
-            let worker = Worker {
-                id,
-                backend: self.build_backend(),
-                opts: self.opts,
-                // Extra proc-pool claimer threads (id >= workers) get a
-                // decorrelated stream of their own; it is never drawn —
-                // steal work runs entirely on pre-drawn slot state — so
-                // it exists only to satisfy the Worker shape.
-                rng: if id < self.workers {
-                    StdRng::from_raw_state(s.worker_rngs[id])
-                } else {
-                    StdRng::seed_from_u64(self.stream_seed(1 + id as u64))
-                },
-                // At a round boundary every worker's view equals the
-                // global union (see the module docs), so seeding the view
-                // with it restores the exact mid-campaign state.
-                view: s.global.matrix().clone(),
-                observed: if id < self.workers {
-                    s.worker_observed[id].clone()
-                } else {
-                    CoverageMatrix::new()
-                },
-                shared: Arc::clone(&shared),
-                scenarios: self.scenarios.clone(),
-            };
-            let from_tx = from_tx.clone();
-            handles.push(thread::spawn(move || worker.run(to_rx, from_tx)));
-            to_workers.push(to_tx);
+        // At a round boundary every worker's view equals the global union
+        // (see the module docs). With a pending round in flight, views
+        // must instead match their state at its dispatch: the union
+        // *minus* the points committed after that dispatch
+        // (`view_behind`). Those are replayed into the discovery log,
+        // whose per-worker cursors all start at zero: the pending round
+        // re-ships with empty deltas, and the next planned round picks
+        // the replayed points up — exactly the delta the uninterrupted
+        // run broadcast at that boundary. (On resume the log otherwise
+        // starts empty, `CoverageLog::seeded`, since every view already
+        // holds the restored union.)
+        let mut spawn_view = s.global.matrix().clone();
+        if let Some(p) = &resumed_pending {
+            for point in &p.view_behind {
+                spawn_view.remove(point);
+            }
+            s.global.replay(&p.view_behind);
         }
-        drop(from_tx);
-
-        // Per-worker cursors into the global discovery log drive the
-        // round-start view broadcasts. On resume the log starts empty
-        // (`CoverageLog::seeded`): every worker's view already holds the
-        // full restored union, so only post-resume points need
-        // broadcasting.
-        let mut synced = vec![0usize; physical];
-        let mut gossip_state = GossipState::default();
+        let mut pool = self.spawn_pool(&s, &spawn_view, &shared);
+        let mut gossip_state = GossipState {
+            // Replayed points were already published before the halt;
+            // start the export cursor past them.
+            published: s.global.watermark(),
+            imported: HashSet::new(),
+        };
         let halt = self.halt_after.unwrap_or(usize::MAX);
         let feedback = self.opts.coverage_feedback;
-        let mut busy_nanos = 0u64;
+        let metrics = crate::metrics::handles();
         let mut view_setup_nanos = 0u64;
-        let mut makespan_nanos = 0u64;
 
         let mut next_slot = start;
         let mut rounds = 0usize;
-        while next_slot < iterations && s.stats.iterations < halt {
-            let span = s
-                .scheduler
-                .round_span(self.workers, self.batch, iterations - next_slot);
-            let plan = {
-                let _plan_span =
-                    dejavuzz_telemetry::Timer::start(&crate::metrics::handles().plan_nanos);
-                // Disjoint field borrows: the scheduler plans over the
-                // rest of the session state.
-                let Session {
-                    scheduler,
-                    corpus,
-                    policy,
-                    sched_rng,
-                    worker_rngs,
-                    ..
-                } = &mut s;
-                let mut ctx = PlanCtx {
-                    corpus,
-                    policy: policy.as_mut(),
-                    sched_rng,
-                    worker_rngs,
-                    workers: self.workers,
-                    batch: self.batch,
-                    lag: 0,
-                    scenarios: &self.scenarios,
-                };
-                scheduler.plan_round(next_slot..next_slot + span, &mut ctx)
-            };
-            let round_ev = RoundStarted {
-                first_slot: next_slot,
-                slots: span,
-                gain_threshold_samples: s.gain.samples,
-            };
-            for obs in observers.iter_mut() {
-                obs.round_started(&round_ev);
+        let mut in_flight: VecDeque<InFlight> = VecDeque::new();
+        let mut round_costs: Vec<RoundCosts> = Vec::new();
+        let mut buffered: BTreeMap<usize, IterationOutcome> = BTreeMap::new();
+        let mut committed_through = start;
+        while s.stats.iterations < halt {
+            // Top the pipeline up (a resumed pending round is due even
+            // past the budget: it was planned within the original one).
+            while in_flight.len() < depth && (resumed_pending.is_some() || next_slot < iterations) {
+                let round = self.dispatch(
+                    &mut s,
+                    &mut pool,
+                    resumed_pending.take(),
+                    next_slot..iterations,
+                    observers,
+                );
+                next_slot = round.first_slot + round.len;
+                in_flight.push_back(round);
             }
-            next_slot += span;
-
-            let mut expected = 0;
-            let stealing = matches!(plan, RoundPlan::Queue(_));
-            match plan {
-                RoundPlan::Batches(batches) => {
-                    for (w, items) in batches.into_iter().enumerate() {
-                        if items.is_empty() {
-                            continue;
-                        }
-                        let delta = s.global.delta_since(synced[w]).to_vec();
-                        synced[w] = s.global.watermark();
-                        to_workers[w]
-                            .send(ToWorker::Batch(WorkBatch {
-                                items,
-                                avg: s.gain.avg,
-                                samples: s.gain.samples,
-                                delta,
-                            }))
-                            .expect("worker hung up mid-run");
-                        expected += 1;
-                    }
+            let Some(front) = in_flight.front() else {
+                break;
+            };
+            let end_of_front = front.first_slot + front.len;
+            let mut costs = RoundCosts {
+                greedy: front.queue.is_some(),
+                slots: Vec::with_capacity(front.len),
+            };
+            // Commit the front round to completion; outcomes from the
+            // round behind it buffer until the boundary actions ran.
+            while committed_through < end_of_front {
+                if let Some(o) = buffered.remove(&committed_through) {
+                    costs.slots.push((o.stream, o.elapsed_nanos));
+                    view_setup_nanos += o.view_setup_nanos;
+                    commit_outcome(&mut s, feedback, o, observers);
+                    committed_through += 1;
+                    continue;
                 }
-                RoundPlan::Queue(slots) => {
-                    let queue = Arc::new(StealQueue {
-                        slots,
-                        next: AtomicUsize::new(0),
-                    });
-                    for (w, to_worker) in to_workers.iter().enumerate() {
-                        let delta = s.global.delta_since(synced[w]).to_vec();
-                        synced[w] = s.global.watermark();
-                        to_worker
-                            .send(ToWorker::Steal(StealRound {
-                                queue: Arc::clone(&queue),
-                                avg: s.gain.avg,
-                                samples: s.gain.samples,
-                                delta,
-                                streamed: false,
-                            }))
-                            .expect("worker hung up mid-run");
-                        expected += 1;
-                    }
-                }
-            }
-
-            let mut outcomes = Vec::new();
-            for _ in 0..expected {
-                let reply: RoundReply = from_rx.recv().expect("worker hung up mid-run");
+                // The wait for the next contiguous slot: the barrier wait
+                // at depth 1, the pipeline's stall at depth 2 (outcomes
+                // may buffer out of order, but commit cannot pass a gap).
+                let stall = dejavuzz_telemetry::Timer::start(&metrics.commit_stall_nanos);
+                let reply = pool.from_workers.recv().expect("worker hung up mid-run");
+                stall.finish();
                 if let Some(rng) = reply.rng {
                     s.worker_rngs[reply.worker] = rng;
                 }
-                outcomes.extend(reply.outcomes);
-            }
-            // Replay in global slot order: every piece of feedback state
-            // (threshold, corpus, curve, worker mirrors) updates
-            // deterministically regardless of arrival or claim order.
-            outcomes.sort_by_key(|o| o.slot);
-            makespan_nanos += round_makespan(&outcomes, self.workers, stealing);
-            for o in outcomes {
-                commit_outcome(
-                    &mut s,
-                    &mut busy_nanos,
-                    &mut view_setup_nanos,
-                    feedback,
-                    o,
-                    observers,
-                );
+                for o in reply.outcomes {
+                    buffered.insert(o.slot, o);
+                }
+                metrics.commit_queue_depth.set(buffered.len() as u64);
             }
 
+            // Boundary: the front round is fully committed, in order.
+            in_flight.pop_front();
+            round_costs.push(costs);
             rounds += 1;
             if self.gossip_every > 0 && rounds.is_multiple_of(self.gossip_every) {
                 self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
             }
             if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
-                self.write_checkpoint(&s, None, true, observers);
+                let pending = in_flight.front().map(|f| f.to_pending(&s.global));
+                self.write_checkpoint(&s, pending, true, observers);
             }
         }
+        // A halted run abandons the in-flight round's outcomes: its
+        // pre-drawn plan rides in the snapshot and a resume re-executes
+        // it deterministically.
+        pool.stop();
 
-        for to_worker in &to_workers {
-            let _ = to_worker.send(ToWorker::Stop);
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-
+        let pending = match in_flight.front() {
+            Some(f) => Some(f.to_pending(&s.global)),
+            None => resumed_pending,
+        };
         // Always leave a final checkpoint behind: a halted run's snapshot
         // is exactly what `--resume` continues from.
-        self.write_checkpoint(&s, None, false, observers);
-        let snapshot = self.snapshot_of(&s, None);
+        self.write_checkpoint(&s, pending.clone(), false, observers);
+        let snapshot = self.snapshot_of(&s, pending);
 
-        debug_assert_eq!(shared.points(), s.global.points(), "both unions must agree");
+        debug_assert!(
+            !in_flight.is_empty() || shared.points() == s.global.points(),
+            "both unions must agree once nothing is in flight"
+        );
+        let busy_nanos = round_costs.iter().flat_map(|r| &r.slots).map(|s| s.1).sum();
+        let makespan_nanos = modelled_makespan(&round_costs, self.workers, depth);
         let workers = (0..self.workers)
             .map(|i| WorkerSummary {
                 worker: i,
@@ -1405,371 +1437,116 @@ impl Orchestrator {
         (report, snapshot)
     }
 
-    /// The cross-round steal pipeline (`pipeline_lag >= 1`): the
-    /// orchestrator keeps **two** rounds in flight. Workers stream every
-    /// outcome the moment it finishes; the orchestrator commits the
-    /// contiguous slot prefix, and at the instant round k is fully
-    /// committed it plans and dispatches round k+2 — while round k+1's
-    /// stragglers are still running. No worker ever waits at a barrier:
-    /// the next round's queue is already sitting in its channel when it
-    /// drains the current one.
-    ///
-    /// The feedback-lag contract: round k's slots are planned from (and
-    /// their views broadcast) the committed coverage/corpus/threshold
-    /// state as of the end of round k-2 — one round of lag, against the
-    /// barriered mode's zero. Every `lag >= 1` behaves identically: the
-    /// pipeline is depth-quantized at one round, the minimum that removes
-    /// the barrier, so deeper requested lags are satisfied a fortiori
-    /// (`lag == 0` is pipelining off and runs the byte-identical
-    /// barriered path). Results remain a pure function of
-    /// `(seed, workers, lag)`: commit order is slot order, plans are
-    /// drawn from committed state only, and claim interleavings never
-    /// leak (asserted by `tests/scheduler.rs`).
-    ///
-    /// Checkpoints land at commit boundaries with the in-flight round's
-    /// pre-drawn plan attached ([`PendingRound`]), so a resume
-    /// re-dispatches exactly that plan and splices bit-identically
-    /// (asserted by `tests/persist.rs`).
-    fn run_pipelined(
-        &self,
-        iterations: usize,
-        observers: &mut [Box<dyn CampaignObserver>],
-    ) -> (ExecutorReport, CampaignSnapshot) {
-        let run_start = Instant::now();
-        let (mut s, start) = self.session();
-        let resumed_pending = self.resume.as_ref().and_then(|snap| snap.pending.clone());
-
-        // The live concurrent union starts from the restored global so
-        // the cross-check invariant (shared == canonical) spans resumes.
-        // Write-only from the workers' perspective, so over-seeding it
-        // with points the pending round has not observed yet is harmless.
-        let shared = Arc::new(SharedCoverage::default());
-        for p in s.global.iter() {
-            shared.observe_point(*p);
-        }
-
-        // When a pending round is in flight, worker views must match
-        // their state at its dispatch: the snapshot coverage *minus* the
-        // points committed after that dispatch (`view_behind`), which are
-        // instead replayed through the broadcast log below.
-        let mut spawn_view = s.global.matrix().clone();
-        if let Some(p) = &resumed_pending {
-            for point in &p.view_behind {
-                spawn_view.remove(point);
-            }
-        }
-
-        let (from_tx, from_rx) = mpsc::channel();
+    /// Spawns one worker thread per physical worker, each starting from
+    /// `view` and its logical stream's mirrored state.
+    fn spawn_pool(&self, s: &Session, view: &CoverageMatrix, shared: &Arc<SharedCoverage>) -> Pool {
+        let (from_tx, from_workers) = mpsc::channel();
         let physical = self.physical_workers();
         let mut to_workers = Vec::with_capacity(physical);
         let mut handles = Vec::with_capacity(physical);
         for id in 0..physical {
             let (to_tx, to_rx) = mpsc::channel();
+            let logical = id < self.workers;
             let worker = Worker {
                 id,
                 backend: self.build_backend(),
                 opts: self.opts,
-                // Extra proc-pool claimer threads (id >= workers): see
-                // `run_observed` — the stream is never drawn, pipelined
-                // rounds are queue-shaped pre-drawn slots.
-                rng: if id < self.workers {
+                // Extra proc-pool claimer threads (id >= workers) get a
+                // decorrelated stream of their own; it is never drawn —
+                // steal work runs entirely on pre-drawn slot state — so
+                // it exists only to satisfy the Worker shape.
+                rng: if logical {
                     StdRng::from_raw_state(s.worker_rngs[id])
                 } else {
                     StdRng::seed_from_u64(self.stream_seed(1 + id as u64))
                 },
-                view: spawn_view.clone(),
-                observed: if id < self.workers {
+                view: view.clone(),
+                observed: if logical {
                     s.worker_observed[id].clone()
                 } else {
                     CoverageMatrix::new()
                 },
-                shared: Arc::clone(&shared),
+                shared: Arc::clone(shared),
                 scenarios: self.scenarios.clone(),
             };
             let from_tx = from_tx.clone();
             handles.push(thread::spawn(move || worker.run(to_rx, from_tx)));
             to_workers.push(to_tx);
         }
-        drop(from_tx);
-
-        // Per-worker cursors into the global discovery log drive the
-        // dispatch-time view broadcasts. On a resume with a pending round
-        // the log is pre-seeded (replayed) with `view_behind` and the
-        // cursors stay at zero: the pending round itself re-ships with an
-        // empty delta (its views were already current at its original
-        // dispatch), while the *next* planned round picks the replayed
-        // points up — exactly the delta the uninterrupted run broadcast
-        // at that boundary.
-        if let Some(p) = &resumed_pending {
-            s.global.replay(&p.view_behind);
+        Pool {
+            to_workers,
+            from_workers,
+            handles,
+            synced: vec![0; physical],
         }
-        let mut synced = vec![0usize; physical];
-        let mut gossip_state = GossipState {
-            // Replayed points were already published before the halt;
-            // start the export cursor past them.
-            published: s.global.watermark(),
-            imported: HashSet::new(),
-        };
-        let halt = self.halt_after.unwrap_or(usize::MAX);
-        let feedback = self.opts.coverage_feedback;
-        let mut busy_nanos = 0u64;
-        let mut view_setup_nanos = 0u64;
+    }
 
-        /// One dispatched-but-not-fully-committed round.
-        struct InFlight {
-            first_slot: usize,
-            len: usize,
-            avg: f64,
-            samples: usize,
-            slots: Vec<PlannedSlot>,
-            /// The global log watermark at dispatch: the delta from here
-            /// is what a checkpoint must record as `view_behind`.
-            log_mark: usize,
-        }
-
-        /// The snapshot form of an in-flight round.
-        fn to_pending(f: &InFlight, log: &CoverageLog) -> PendingRound {
-            PendingRound {
-                first_slot: f.first_slot,
-                slots: f.slots.clone(),
-                avg: f.avg,
-                samples: f.samples,
-                view_behind: log.delta_since(f.log_mark).to_vec(),
+    /// Dispatches the round starting at `slots.start` and fires its
+    /// [`RoundStarted`]. A resumed `pending` round re-ships verbatim —
+    /// same pre-drawn slots, same dispatch-time threshold, empty view
+    /// deltas (its views were current at its original dispatch);
+    /// otherwise the scheduler plans a round from the committed state.
+    fn dispatch(
+        &self,
+        s: &mut Session,
+        pool: &mut Pool,
+        pending: Option<PendingRound>,
+        slots: Range<usize>,
+        observers: &mut [Box<dyn CampaignObserver>],
+    ) -> InFlight {
+        let (plan, len, avg, samples, broadcast) = match pending {
+            Some(p) => {
+                debug_assert_eq!(p.first_slot, slots.start, "pending resumes at the frontier");
+                let len = p.slots.len();
+                (RoundPlan::Queue(p.slots), len, p.avg, p.samples, false)
             }
-        }
-
-        let mut next_slot = start;
-        let mut rounds = 0usize;
-        let mut in_flight: VecDeque<InFlight> = VecDeque::new();
-        // Modelled per-slot costs of each round, in commit order, for the
-        // pipelined makespan model below.
-        let mut round_costs: Vec<Vec<u64>> = Vec::new();
-        let mut current_costs: Vec<u64> = Vec::new();
-
-        // Re-dispatch the resumed pending round verbatim: same pre-drawn
-        // slots, same dispatch-time gain threshold, empty view delta.
-        if let Some(p) = resumed_pending {
-            let queue = Arc::new(StealQueue {
-                slots: p.slots.clone(),
-                next: AtomicUsize::new(0),
-            });
-            let round_ev = RoundStarted {
-                first_slot: p.first_slot,
-                slots: p.slots.len(),
-                gain_threshold_samples: p.samples,
-            };
-            for obs in observers.iter_mut() {
-                obs.round_started(&round_ev);
-            }
-            for to_worker in &to_workers {
-                to_worker
-                    .send(ToWorker::Steal(StealRound {
-                        queue: Arc::clone(&queue),
-                        avg: p.avg,
-                        samples: p.samples,
-                        delta: Vec::new(),
-                        streamed: true,
-                    }))
-                    .expect("worker hung up mid-run");
-            }
-            debug_assert_eq!(p.first_slot, next_slot, "pending resumes at the frontier");
-            next_slot = p.first_slot + p.slots.len();
-            in_flight.push_back(InFlight {
-                first_slot: p.first_slot,
-                len: p.slots.len(),
-                avg: p.avg,
-                samples: p.samples,
-                slots: p.slots,
-                log_mark: s.global.watermark(),
-            });
-        }
-
-        // Plans and dispatches the round starting at the frontier from
-        // the current committed state. Macro rather than closure: it
-        // borrows half the locals mutably.
-        macro_rules! dispatch_next {
-            () => {{
+            None => {
                 let span = s
                     .scheduler
-                    .round_span(self.workers, self.batch, iterations - next_slot);
-                let plan = {
-                    let _plan_span =
-                        dejavuzz_telemetry::Timer::start(&crate::metrics::handles().plan_nanos);
-                    let Session {
-                        scheduler,
-                        corpus,
-                        policy,
-                        sched_rng,
-                        worker_rngs,
-                        ..
-                    } = &mut s;
-                    let mut ctx = PlanCtx {
-                        corpus,
-                        policy: policy.as_mut(),
-                        sched_rng,
-                        worker_rngs,
-                        workers: self.workers,
-                        batch: self.batch,
-                        lag: self.pipeline_lag,
-                        scenarios: &self.scenarios,
-                    };
-                    scheduler.plan_round(next_slot..next_slot + span, &mut ctx)
+                    .round_span(self.workers, self.batch, slots.len());
+                let _plan_span =
+                    dejavuzz_telemetry::Timer::start(&crate::metrics::handles().plan_nanos);
+                // Disjoint field borrows: the scheduler plans over the
+                // rest of the session state.
+                let Session {
+                    scheduler,
+                    corpus,
+                    policy,
+                    sched_rng,
+                    worker_rngs,
+                    ..
+                } = &mut *s;
+                let mut ctx = PlanCtx {
+                    corpus,
+                    policy: policy.as_mut(),
+                    sched_rng,
+                    worker_rngs,
+                    workers: self.workers,
+                    batch: self.batch,
+                    lag: self.pipeline_lag,
+                    scenarios: &self.scenarios,
                 };
-                let RoundPlan::Queue(slots) = plan else {
-                    unreachable!(
-                        "pipelining requires a queue-planning scheduler (enforced at build)"
-                    )
-                };
-                let round_ev = RoundStarted {
-                    first_slot: next_slot,
-                    slots: span,
-                    gain_threshold_samples: s.gain.samples,
-                };
-                for obs in observers.iter_mut() {
-                    obs.round_started(&round_ev);
-                }
-                let queue = Arc::new(StealQueue {
-                    slots: slots.clone(),
-                    next: AtomicUsize::new(0),
-                });
-                for (w, to_worker) in to_workers.iter().enumerate() {
-                    let delta = s.global.delta_since(synced[w]).to_vec();
-                    synced[w] = s.global.watermark();
-                    to_worker
-                        .send(ToWorker::Steal(StealRound {
-                            queue: Arc::clone(&queue),
-                            avg: s.gain.avg,
-                            samples: s.gain.samples,
-                            delta,
-                            streamed: true,
-                        }))
-                        .expect("worker hung up mid-run");
-                }
-                in_flight.push_back(InFlight {
-                    first_slot: next_slot,
-                    len: span,
-                    avg: s.gain.avg,
-                    samples: s.gain.samples,
-                    slots,
-                    log_mark: s.global.watermark(),
-                });
-                next_slot += span;
-            }};
-        }
-
-        // Fill the pipeline: two rounds in flight from the word go (both
-        // planned from the same start-of-run committed state, in order).
-        while in_flight.len() < 2 && next_slot < iterations {
-            dispatch_next!();
-        }
-
-        let mut buffered: BTreeMap<usize, IterationOutcome> = BTreeMap::new();
-        let mut committed_through = start;
-        let mut halted = false;
-        while let Some(front) = in_flight.front() {
-            let end_of_front = front.first_slot + front.len;
-            // Commit the front round to completion; outcomes from the
-            // round behind it buffer until the boundary actions ran.
-            while committed_through < end_of_front {
-                if let Some(o) = buffered.remove(&committed_through) {
-                    current_costs.push(o.elapsed_nanos);
-                    commit_outcome(
-                        &mut s,
-                        &mut busy_nanos,
-                        &mut view_setup_nanos,
-                        feedback,
-                        o,
-                        observers,
-                    );
-                    committed_through += 1;
-                    continue;
-                }
-                // The wait for the next contiguous slot is the
-                // pipeline's stall: outcomes may be buffered out of
-                // order, but commit cannot proceed past a gap.
-                let stall =
-                    dejavuzz_telemetry::Timer::start(&crate::metrics::handles().commit_stall_nanos);
-                let reply: RoundReply = from_rx.recv().expect("worker hung up mid-run");
-                stall.finish();
-                debug_assert!(reply.rng.is_none(), "steal workers never draw");
-                for o in reply.outcomes {
-                    buffered.insert(o.slot, o);
-                }
-                crate::metrics::handles()
-                    .commit_queue_depth
-                    .set(buffered.len() as u64);
+                let plan = scheduler.plan_round(slots.start..slots.start + span, &mut ctx);
+                (plan, span, s.gain.avg, s.gain.samples, true)
             }
-
-            // Boundary: the front round is fully committed, in order.
-            in_flight.pop_front();
-            round_costs.push(std::mem::take(&mut current_costs));
-            rounds += 1;
-            if self.gossip_every > 0 && rounds.is_multiple_of(self.gossip_every) {
-                self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
-            }
-            if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
-                let pending = in_flight.front().map(|f| to_pending(f, &s.global));
-                self.write_checkpoint(&s, pending, true, observers);
-            }
-            if s.stats.iterations >= halt {
-                halted = true;
-                break;
-            }
-            if next_slot < iterations {
-                dispatch_next!();
-            }
-        }
-
-        for to_worker in &to_workers {
-            let _ = to_worker.send(ToWorker::Stop);
-        }
-        if halted {
-            // Discard the in-flight round's outcomes: its pre-drawn plan
-            // rides in the snapshot and a resume re-executes it
-            // deterministically. Drain the channel so workers never block
-            // on a full buffer (unbounded channels never do, but be
-            // explicit about intent: these results are dropped).
-            while from_rx.try_recv().is_ok() {}
-        }
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-
-        let pending = in_flight.front().map(|f| to_pending(f, &s.global));
-        // Always leave a final checkpoint behind: a halted run's snapshot
-        // is exactly what `--resume` continues from.
-        self.write_checkpoint(&s, pending.clone(), false, observers);
-        let snapshot = self.snapshot_of(&s, pending);
-
-        let makespan_nanos = pipelined_makespan(&round_costs, self.workers);
-        let workers = (0..self.workers)
-            .map(|i| WorkerSummary {
-                worker: i,
-                iterations: s.worker_iterations[i],
-                observed: s.worker_observed[i].clone(),
-            })
-            .collect();
-        let report = ExecutorReport {
-            stats: s.stats,
-            coverage: s.global.into_matrix(),
-            shared_points: shared.points(),
-            workers,
-            corpus_retained: s.corpus.retained(),
-            corpus_evicted: s.corpus.evicted(),
-            busy_nanos,
-            modelled_makespan_nanos: makespan_nanos,
-            barrier_idle_nanos: (self.workers as u64 * makespan_nanos).saturating_sub(busy_nanos),
-            view_setup_nanos,
         };
-        crate::metrics::record_report(&report);
-        let finished = CampaignFinished {
-            report: &report,
-            elapsed: run_start.elapsed(),
+        let round_ev = RoundStarted {
+            first_slot: slots.start,
+            slots: len,
+            gain_threshold_samples: samples,
         };
         for obs in observers.iter_mut() {
-            obs.campaign_finished(&finished);
+            obs.round_started(&round_ev);
         }
-        (report, snapshot)
+        let queue = pool.ship(plan, avg, samples, &s.global, broadcast);
+        InFlight {
+            first_slot: slots.start,
+            len,
+            avg,
+            samples,
+            queue,
+            log_mark: s.global.watermark(),
+        }
     }
 }
 
@@ -1852,6 +1629,76 @@ mod tests {
             assert_eq!(g.samples, i + 1);
         }
         assert!((g.avg - 4.0).abs() < 1e-12);
+    }
+
+    /// The depth-1 reference: one round's barrier makespan, on clocks
+    /// that restart every round.
+    fn barrier_makespan(round: &RoundCosts, workers: usize) -> u64 {
+        let mut clocks = vec![0u64; workers];
+        for &(stream, cost) in &round.slots {
+            let core = match round.greedy {
+                true => (0..workers).min_by_key(|&w| clocks[w]).unwrap(),
+                false => stream,
+            };
+            clocks[core] += cost;
+        }
+        clocks.into_iter().max().unwrap()
+    }
+
+    /// The depth-2 reference: the dedicated two-rounds-in-flight model
+    /// the pipelined steal loop used before the loops merged (greedy
+    /// claims, round k gated on round k-2's finish).
+    fn pipelined_reference(rounds: &[RoundCosts], workers: usize) -> u64 {
+        let mut clocks = vec![0u64; workers];
+        let mut finishes = Vec::new();
+        for (k, round) in rounds.iter().enumerate() {
+            let gate = if k >= 2 { finishes[k - 2] } else { 0 };
+            let mut finish = 0;
+            for &(_, cost) in &round.slots {
+                let core = (0..workers).min_by_key(|&w| clocks[w]).unwrap();
+                clocks[core] = clocks[core].max(gate) + cost;
+                finish = finish.max(clocks[core]);
+            }
+            finishes.push(finish);
+        }
+        clocks.into_iter().max().unwrap()
+    }
+
+    /// Six rounds of irregular slot counts and costs, one straggler each.
+    fn hand_built(workers: usize, greedy: bool) -> Vec<RoundCosts> {
+        (0..6)
+            .map(|k| RoundCosts {
+                greedy,
+                slots: (0..2 * workers + k % 3)
+                    .map(|i| {
+                        let cost = ((k * 37 + i * 101) % 97 + 1) as u64;
+                        (i % workers, if i == k % 4 { cost * 50 } else { cost })
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn makespan_model_matches_the_barrier_and_pipelined_references() {
+        for workers in 1..=4 {
+            for greedy in [false, true] {
+                let rounds = hand_built(workers, greedy);
+                let barriers: u64 = rounds.iter().map(|r| barrier_makespan(r, workers)).sum();
+                assert_eq!(modelled_makespan(&rounds, workers, 1), barriers);
+            }
+            let rounds = hand_built(workers, true);
+            let reference = pipelined_reference(&rounds, workers);
+            assert_eq!(modelled_makespan(&rounds, workers, 2), reference);
+        }
+        // Two cores, a straggler in round 0: the barrier serialises
+        // round 1 behind it (5 + 1), the pipeline tucks it beside it.
+        let rounds = [vec![(0, 5), (1, 1)], vec![(0, 1), (1, 1)]].map(|slots| RoundCosts {
+            greedy: true,
+            slots,
+        });
+        assert_eq!(modelled_makespan(&rounds, 2, 1), 6);
+        assert_eq!(modelled_makespan(&rounds, 2, 2), 5);
     }
 
     #[test]

@@ -33,11 +33,13 @@ pub struct CoreMetrics {
     /// DIFT taint-census time: folding a run's taint log into the
     /// coverage matrix in phase 2.
     pub census_nanos: Arc<Histogram>,
-    /// Time the pipelined orchestrator spent blocked on `recv` waiting
-    /// for the next contiguous slot — the contiguous-prefix stall.
+    /// Time the orchestrator spent blocked on `recv` waiting for the next
+    /// contiguous slot: the contiguous-prefix stall when pipelined, the
+    /// round barrier wait at pipeline lag 0.
     pub commit_stall_nanos: Arc<Histogram>,
     /// Out-of-order outcomes buffered ahead of the contiguous commit
-    /// prefix, sampled after each arrival.
+    /// prefix, sampled after each arrival (at pipeline lag 0, the
+    /// current round's early finishers).
     pub commit_queue_depth: Arc<Gauge>,
     /// Checkpoint serialisation + write time.
     pub snapshot_write_nanos: Arc<Histogram>,
@@ -106,11 +108,13 @@ pub fn handles() -> &'static CoreMetrics {
             ),
             commit_stall_nanos: r.histogram(
                 "dejavuzz_commit_stall_nanos",
-                "Pipelined commit loop blocked waiting for the next contiguous slot, nanoseconds",
+                "Commit loop blocked waiting for the next contiguous slot (the round barrier \
+                 wait at pipeline lag 0), nanoseconds",
             ),
             commit_queue_depth: r.gauge(
                 "dejavuzz_commit_queue_depth",
-                "Outcomes buffered ahead of the contiguous commit prefix",
+                "Outcomes buffered ahead of the contiguous commit prefix (at pipeline lag 0, \
+                 the current round's early finishers)",
             ),
             snapshot_write_nanos: r.histogram(
                 "dejavuzz_snapshot_write_nanos",

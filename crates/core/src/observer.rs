@@ -33,10 +33,17 @@
 //! Wall-clock only appears in [`CampaignFinished::elapsed`] and is
 //! deliberately *excluded* from the JSON stream, so telemetry is
 //! byte-deterministic per `(seed, workers)`.
+//!
+//! [`CampaignEvent`] is the owned form of every event (for observers
+//! that ship events across threads or processes), and its
+//! [`CampaignEvent::to_json`] is the one JSON serialisation of the
+//! stream: [`JsonLinesObserver`] writes exactly that, one line per event.
 
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
+
+use dejavuzz_ift::CoveragePoint;
 
 use crate::executor::ExecutorReport;
 use crate::gen::WindowType;
@@ -346,121 +353,279 @@ impl<W: Write> JsonLinesObserver<W> {
     }
 }
 
+impl<W: Write> JsonLinesObserver<W> {
+    fn emit(&mut self, ev: CampaignEvent) {
+        let _ = writeln!(self.out, "{}", ev.to_json());
+    }
+}
+
 impl<W: Write> CampaignObserver for JsonLinesObserver<W> {
     fn round_started(&mut self, ev: &RoundStarted) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"round_started\",\"first_slot\":{},\"slots\":{},\"gain_samples\":{}}}",
-            ev.first_slot, ev.slots, ev.gain_threshold_samples
-        );
+        self.emit(ev.into());
     }
 
     fn slot_committed(&mut self, ev: &SlotCommitted) {
-        let error = match &ev.error {
-            Some(e) => json_str(e),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"slot_committed\",\"slot\":{},\"stream\":{},\"window\":{},\
-             \"triggered\":{},\"to\":{},\"eto\":{},\"sim_runs\":{},\"final_gain\":{},\
-             \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
-            ev.slot,
-            ev.stream,
-            json_str(ev.window_type.name()),
-            ev.triggered,
-            ev.to,
-            ev.eto,
-            ev.sim_runs,
-            ev.final_gain,
-            ev.fresh_points,
-            ev.total_points,
-            error
-        );
+        self.emit(ev.into());
     }
 
     fn coverage_gained(&mut self, ev: &CoverageGained<'_>) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"coverage_gained\",\"slot\":{},\"gained\":{},\"total_points\":{}}}",
-            ev.slot,
-            ev.points.len(),
-            ev.total_points
-        );
+        self.emit(ev.into());
     }
 
     fn bug_found(&mut self, ev: &BugFound) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
-             \"window_class\":{},\"component\":{},\"iteration\":{}}}",
-            ev.slot,
-            json_str(ev.bug.core),
-            json_str(ev.bug.attack.name()),
-            json_str(ev.bug.window_type.table5_class()),
-            json_str(ev.bug.channel.component()),
-            ev.bug.iteration
-        );
+        self.emit(ev.into());
     }
 
     fn snapshot_written(&mut self, ev: &SnapshotWritten<'_>) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
-            json_str(&ev.path.display().to_string()),
-            ev.iterations,
-            ev.periodic
-        );
+        self.emit(ev.into());
     }
 
     fn peer_delta_imported(&mut self, ev: &PeerDeltaImported) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"peer_delta_imported\",\"from_shard\":{},\"peer_iterations\":{},\
-             \"boundary\":{},\"points\":{},\"fresh_points\":{},\"total_points\":{}}}",
-            ev.from_shard,
-            ev.peer_iterations,
-            ev.boundary,
-            ev.points,
-            ev.fresh_points,
-            ev.total_points
-        );
+        self.emit(ev.into());
     }
 
     fn seed_imported(&mut self, ev: &SeedImported) {
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"seed_imported\",\"from_shard\":{},\"boundary\":{},\"window\":{},\
-             \"entropy\":{},\"gain\":{}}}",
-            ev.from_shard,
-            ev.boundary,
-            json_str(ev.window_type.name()),
-            ev.entropy,
-            ev.gain
-        );
+        self.emit(ev.into());
     }
 
     fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
-        let stats = &ev.report.stats;
-        let _ = writeln!(
-            self.out,
-            "{{\"event\":\"campaign_finished\",\"iterations\":{},\"sim_runs\":{},\
-             \"sim_cycles\":{},\"coverage_points\":{},\"corpus_retained\":{},\
-             \"corpus_evicted\":{},\"failed_runs\":{},\"bugs\":{},\"first_bug\":{}}}",
-            stats.iterations,
-            stats.sim_runs,
-            stats.sim_cycles,
-            stats.coverage(),
-            ev.report.corpus_retained,
-            ev.report.corpus_evicted,
-            stats.failed_runs,
-            stats.bugs.len(),
-            match stats.first_bug_iteration {
-                Some(i) => i.to_string(),
-                None => "null".to_string(),
-            }
-        );
+        self.emit(ev.into());
         let _ = self.out.flush();
+    }
+}
+
+/// An owned campaign event: every [`CampaignObserver`] callback's
+/// payload, detached from the executor's borrows so it can cross
+/// threads (built with `From` on each borrowed event). The
+/// borrowed-slice events ([`CoverageGained`], [`SnapshotWritten`],
+/// [`CampaignFinished`]) are flattened to owned fields; the
+/// already-owned event structs embed directly.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CampaignEvent {
+    /// See [`RoundStarted`].
+    RoundStarted(RoundStarted),
+    /// See [`SlotCommitted`].
+    SlotCommitted(SlotCommitted),
+    /// See [`CoverageGained`] — with the fresh points owned.
+    CoverageGained {
+        /// The contributing slot.
+        slot: usize,
+        /// The newly covered points, in commit order.
+        points: Vec<CoveragePoint>,
+        /// Global coverage after folding them in.
+        total_points: usize,
+    },
+    /// See [`BugFound`].
+    BugFound(BugFound),
+    /// See [`SnapshotWritten`] — with the path owned.
+    SnapshotWritten {
+        /// Where the checkpoint was written.
+        path: PathBuf,
+        /// Iterations completed at the checkpoint.
+        iterations: usize,
+        /// Periodic mid-run checkpoint or the end-of-run one.
+        periodic: bool,
+    },
+    /// See [`PeerDeltaImported`].
+    PeerDeltaImported(PeerDeltaImported),
+    /// See [`SeedImported`].
+    SeedImported(SeedImported),
+    /// See [`CampaignFinished`] — flattened to the fields the JSON
+    /// stream reports (wall-clock deliberately excluded).
+    CampaignFinished {
+        /// Iterations executed.
+        iterations: usize,
+        /// Total RTL simulations spent.
+        sim_runs: usize,
+        /// Total simulated cycles.
+        sim_cycles: u64,
+        /// Final coverage points.
+        coverage_points: usize,
+        /// Seeds the corpus retained.
+        corpus_retained: usize,
+        /// Seeds the corpus evicted for capacity.
+        corpus_evicted: usize,
+        /// Iterations aborted by a backend failure.
+        failed_runs: usize,
+        /// Deduplicated bug count.
+        bugs: usize,
+        /// Iteration of the first bug, if any.
+        first_bug: Option<usize>,
+    },
+}
+
+impl From<&RoundStarted> for CampaignEvent {
+    fn from(ev: &RoundStarted) -> Self {
+        CampaignEvent::RoundStarted(*ev)
+    }
+}
+
+impl From<&SlotCommitted> for CampaignEvent {
+    fn from(ev: &SlotCommitted) -> Self {
+        CampaignEvent::SlotCommitted(ev.clone())
+    }
+}
+
+impl From<&CoverageGained<'_>> for CampaignEvent {
+    fn from(ev: &CoverageGained<'_>) -> Self {
+        CampaignEvent::CoverageGained {
+            slot: ev.slot,
+            points: ev.points.to_vec(),
+            total_points: ev.total_points,
+        }
+    }
+}
+
+impl From<&BugFound> for CampaignEvent {
+    fn from(ev: &BugFound) -> Self {
+        CampaignEvent::BugFound(ev.clone())
+    }
+}
+
+impl From<&SnapshotWritten<'_>> for CampaignEvent {
+    fn from(ev: &SnapshotWritten<'_>) -> Self {
+        CampaignEvent::SnapshotWritten {
+            path: ev.path.to_path_buf(),
+            iterations: ev.iterations,
+            periodic: ev.periodic,
+        }
+    }
+}
+
+impl From<&PeerDeltaImported> for CampaignEvent {
+    fn from(ev: &PeerDeltaImported) -> Self {
+        CampaignEvent::PeerDeltaImported(*ev)
+    }
+}
+
+impl From<&SeedImported> for CampaignEvent {
+    fn from(ev: &SeedImported) -> Self {
+        CampaignEvent::SeedImported(*ev)
+    }
+}
+
+impl From<&CampaignFinished<'_>> for CampaignEvent {
+    fn from(ev: &CampaignFinished<'_>) -> Self {
+        let stats = &ev.report.stats;
+        CampaignEvent::CampaignFinished {
+            iterations: stats.iterations,
+            sim_runs: stats.sim_runs,
+            sim_cycles: stats.sim_cycles,
+            coverage_points: stats.coverage(),
+            corpus_retained: ev.report.corpus_retained,
+            corpus_evicted: ev.report.corpus_evicted,
+            failed_runs: stats.failed_runs,
+            bugs: stats.bugs.len(),
+            first_bug: stats.first_bug_iteration,
+        }
+    }
+}
+
+/// `null` or the JSON rendering of a value.
+fn json_opt<T: std::fmt::Display>(v: Option<T>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| v.to_string())
+}
+
+impl CampaignEvent {
+    /// The event as one JSON object: the single serialisation of the
+    /// event stream, shared by [`JsonLinesObserver`] and every transport
+    /// that ships events across threads or processes.
+    pub fn to_json(&self) -> String {
+        match self {
+            CampaignEvent::RoundStarted(ev) => format!(
+                "{{\"event\":\"round_started\",\"first_slot\":{},\"slots\":{},\"gain_samples\":{}}}",
+                ev.first_slot, ev.slots, ev.gain_threshold_samples
+            ),
+            CampaignEvent::SlotCommitted(ev) => format!(
+                "{{\"event\":\"slot_committed\",\"slot\":{},\"stream\":{},\"window\":{},\
+                 \"triggered\":{},\"to\":{},\"eto\":{},\"sim_runs\":{},\"final_gain\":{},\
+                 \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
+                ev.slot,
+                ev.stream,
+                json_str(ev.window_type.name()),
+                ev.triggered,
+                ev.to,
+                ev.eto,
+                ev.sim_runs,
+                ev.final_gain,
+                ev.fresh_points,
+                ev.total_points,
+                json_opt(ev.error.as_deref().map(json_str))
+            ),
+            CampaignEvent::CoverageGained {
+                slot,
+                points,
+                total_points,
+            } => format!(
+                "{{\"event\":\"coverage_gained\",\"slot\":{},\"gained\":{},\"total_points\":{}}}",
+                slot,
+                points.len(),
+                total_points
+            ),
+            CampaignEvent::BugFound(ev) => format!(
+                "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
+                 \"window_class\":{},\"component\":{},\"iteration\":{}}}",
+                ev.slot,
+                json_str(ev.bug.core),
+                json_str(ev.bug.attack.name()),
+                json_str(ev.bug.window_type.table5_class()),
+                json_str(ev.bug.channel.component()),
+                ev.bug.iteration
+            ),
+            CampaignEvent::SnapshotWritten {
+                path,
+                iterations,
+                periodic,
+            } => format!(
+                "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
+                json_str(&path.display().to_string()),
+                iterations,
+                periodic
+            ),
+            CampaignEvent::PeerDeltaImported(ev) => format!(
+                "{{\"event\":\"peer_delta_imported\",\"from_shard\":{},\"peer_iterations\":{},\
+                 \"boundary\":{},\"points\":{},\"fresh_points\":{},\"total_points\":{}}}",
+                ev.from_shard,
+                ev.peer_iterations,
+                ev.boundary,
+                ev.points,
+                ev.fresh_points,
+                ev.total_points
+            ),
+            CampaignEvent::SeedImported(ev) => format!(
+                "{{\"event\":\"seed_imported\",\"from_shard\":{},\"boundary\":{},\"window\":{},\
+                 \"entropy\":{},\"gain\":{}}}",
+                ev.from_shard,
+                ev.boundary,
+                json_str(ev.window_type.name()),
+                ev.entropy,
+                ev.gain
+            ),
+            CampaignEvent::CampaignFinished {
+                iterations,
+                sim_runs,
+                sim_cycles,
+                coverage_points,
+                corpus_retained,
+                corpus_evicted,
+                failed_runs,
+                bugs,
+                first_bug,
+            } => format!(
+                "{{\"event\":\"campaign_finished\",\"iterations\":{},\"sim_runs\":{},\
+                 \"sim_cycles\":{},\"coverage_points\":{},\"corpus_retained\":{},\
+                 \"corpus_evicted\":{},\"failed_runs\":{},\"bugs\":{},\"first_bug\":{}}}",
+                iterations,
+                sim_runs,
+                sim_cycles,
+                coverage_points,
+                corpus_retained,
+                corpus_evicted,
+                failed_runs,
+                bugs,
+                json_opt(*first_bug)
+            ),
+        }
     }
 }
 
@@ -475,6 +640,29 @@ mod tests {
         assert_eq!(json_str("a\\b"), "\"a\\\\b\"");
         assert_eq!(json_str("a\nb\tc"), "\"a\\nb\\tc\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+    }
+
+    /// The campaign_finished JSON (flattened fields) renders an absent
+    /// first bug as `null`.
+    #[test]
+    fn campaign_finished_json_renders_null_first_bug() {
+        let ev = CampaignEvent::CampaignFinished {
+            iterations: 16,
+            sim_runs: 64,
+            sim_cycles: 4096,
+            coverage_points: 21,
+            corpus_retained: 5,
+            corpus_evicted: 1,
+            failed_runs: 0,
+            bugs: 0,
+            first_bug: None,
+        };
+        assert_eq!(
+            ev.to_json(),
+            "{\"event\":\"campaign_finished\",\"iterations\":16,\"sim_runs\":64,\
+             \"sim_cycles\":4096,\"coverage_points\":21,\"corpus_retained\":5,\
+             \"corpus_evicted\":1,\"failed_runs\":0,\"bugs\":0,\"first_bug\":null}"
+        );
     }
 
     #[test]

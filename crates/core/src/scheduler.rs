@@ -72,13 +72,16 @@
 //! deterministic **feedback lag**: a pipelined round is planned from (and
 //! its view broadcasts carry) the committed coverage/corpus/threshold
 //! state as of one round behind the frontier, rather than the immediately
-//! preceding round. `--pipeline-lag 0` (the default) keeps the barriered
-//! protocol byte-identically; any `lag >= 1` selects the depth-one
-//! pipeline (the minimum that removes the barrier — deeper requested lags
-//! are satisfied a fortiori and all behave identically). Results remain a
-//! pure function of `(seed, workers, lag)`; [`Scheduler::supports_pipelining`]
-//! gates which schedulers may opt in, and [`PlanCtx::lag`] tells a plan
-//! how stale its feedback may be.
+//! preceding round. Both modes run the executor's one round loop
+//! ([`crate::executor::Orchestrator::run_observed`]), differing only in
+//! how many rounds it keeps in flight: `--pipeline-lag 0` (the default)
+//! keeps one — the barriered protocol, where every plan sees the round
+//! before it — and any `lag >= 1` keeps two (one round of lag is the
+//! minimum that removes the barrier, so deeper requested lags are
+//! satisfied a fortiori and all behave identically). Results remain a
+//! pure function of `(seed, workers, batch, lag)`;
+//! [`Scheduler::supports_pipelining`] gates which schedulers may opt in,
+//! and [`PlanCtx::lag`] tells a plan how stale its feedback may be.
 //!
 //! # Seed policies
 //!

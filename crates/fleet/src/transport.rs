@@ -10,193 +10,20 @@
 //! slower than the campaign (backpressure, never unbounded memory).
 //!
 //! [`SocketObserver`] is the cross-process form: the same channel, with
-//! a built-in writer thread serialising every event as one JSON line —
-//! byte-identical to [`dejavuzz::observer::JsonLinesObserver`]'s output
-//! for the same event (asserted by the tests below) — over a Unix
-//! stream.
+//! a built-in writer thread serialising every event as one JSON line
+//! over a Unix stream, through the same [`CampaignEvent::to_json`]
+//! [`dejavuzz::observer::JsonLinesObserver`] writes with.
+//! [`CampaignEvent`] itself lives in [`dejavuzz::observer`] and is
+//! re-exported here.
 
-use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 
+pub use dejavuzz::observer::CampaignEvent;
 use dejavuzz::observer::{
-    json_str, BugFound, CampaignFinished, CampaignObserver, CoverageGained, PeerDeltaImported,
-    RoundStarted, SeedImported, SlotCommitted, SnapshotWritten,
+    BugFound, CampaignFinished, CampaignObserver, CoverageGained, PeerDeltaImported, RoundStarted,
+    SeedImported, SlotCommitted, SnapshotWritten,
 };
-use dejavuzz_ift::CoveragePoint;
-
-/// An owned campaign event: every [`CampaignObserver`] callback's
-/// payload, detached from the executor's borrows so it can cross
-/// threads. The borrowed-slice events ([`CoverageGained`],
-/// [`SnapshotWritten`], [`CampaignFinished`]) are flattened to owned
-/// fields; the already-owned event structs embed directly.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CampaignEvent {
-    /// See [`RoundStarted`].
-    RoundStarted(RoundStarted),
-    /// See [`SlotCommitted`].
-    SlotCommitted(SlotCommitted),
-    /// See [`CoverageGained`] — with the fresh points owned.
-    CoverageGained {
-        /// The contributing slot.
-        slot: usize,
-        /// The newly covered points, in commit order.
-        points: Vec<CoveragePoint>,
-        /// Global coverage after folding them in.
-        total_points: usize,
-    },
-    /// See [`BugFound`].
-    BugFound(BugFound),
-    /// See [`SnapshotWritten`] — with the path owned.
-    SnapshotWritten {
-        /// Where the checkpoint was written.
-        path: PathBuf,
-        /// Iterations completed at the checkpoint.
-        iterations: usize,
-        /// Periodic mid-run checkpoint or the end-of-run one.
-        periodic: bool,
-    },
-    /// See [`PeerDeltaImported`].
-    PeerDeltaImported(PeerDeltaImported),
-    /// See [`SeedImported`].
-    SeedImported(SeedImported),
-    /// See [`CampaignFinished`] — flattened to the fields the JSON
-    /// telemetry stream reports (wall-clock deliberately excluded, like
-    /// the JSON observer).
-    CampaignFinished {
-        /// Iterations executed.
-        iterations: usize,
-        /// Total RTL simulations spent.
-        sim_runs: usize,
-        /// Total simulated cycles.
-        sim_cycles: u64,
-        /// Final coverage points.
-        coverage_points: usize,
-        /// Seeds the corpus retained.
-        corpus_retained: usize,
-        /// Seeds the corpus evicted for capacity.
-        corpus_evicted: usize,
-        /// Iterations aborted by a backend failure.
-        failed_runs: usize,
-        /// Deduplicated bug count.
-        bugs: usize,
-        /// Iteration of the first bug, if any.
-        first_bug: Option<usize>,
-    },
-}
-
-impl CampaignEvent {
-    /// The event as one JSON object — byte-identical to the line
-    /// [`dejavuzz::observer::JsonLinesObserver`] writes for the same
-    /// event (pinned by this module's tests, so the two serialisers
-    /// cannot drift apart silently).
-    pub fn to_json(&self) -> String {
-        match self {
-            CampaignEvent::RoundStarted(ev) => format!(
-                "{{\"event\":\"round_started\",\"first_slot\":{},\"slots\":{},\"gain_samples\":{}}}",
-                ev.first_slot, ev.slots, ev.gain_threshold_samples
-            ),
-            CampaignEvent::SlotCommitted(ev) => {
-                let error = match &ev.error {
-                    Some(e) => json_str(e),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"event\":\"slot_committed\",\"slot\":{},\"stream\":{},\"window\":{},\
-                     \"triggered\":{},\"to\":{},\"eto\":{},\"sim_runs\":{},\"final_gain\":{},\
-                     \"fresh_points\":{},\"total_points\":{},\"error\":{}}}",
-                    ev.slot,
-                    ev.stream,
-                    json_str(ev.window_type.name()),
-                    ev.triggered,
-                    ev.to,
-                    ev.eto,
-                    ev.sim_runs,
-                    ev.final_gain,
-                    ev.fresh_points,
-                    ev.total_points,
-                    error
-                )
-            }
-            CampaignEvent::CoverageGained {
-                slot,
-                points,
-                total_points,
-            } => format!(
-                "{{\"event\":\"coverage_gained\",\"slot\":{},\"gained\":{},\"total_points\":{}}}",
-                slot,
-                points.len(),
-                total_points
-            ),
-            CampaignEvent::BugFound(ev) => format!(
-                "{{\"event\":\"bug_found\",\"slot\":{},\"core\":{},\"attack\":{},\
-                 \"window_class\":{},\"component\":{},\"iteration\":{}}}",
-                ev.slot,
-                json_str(ev.bug.core),
-                json_str(ev.bug.attack.name()),
-                json_str(ev.bug.window_type.table5_class()),
-                json_str(ev.bug.channel.component()),
-                ev.bug.iteration
-            ),
-            CampaignEvent::SnapshotWritten {
-                path,
-                iterations,
-                periodic,
-            } => format!(
-                "{{\"event\":\"snapshot_written\",\"path\":{},\"iterations\":{},\"periodic\":{}}}",
-                json_str(&path.display().to_string()),
-                iterations,
-                periodic
-            ),
-            CampaignEvent::PeerDeltaImported(ev) => format!(
-                "{{\"event\":\"peer_delta_imported\",\"from_shard\":{},\"peer_iterations\":{},\
-                 \"boundary\":{},\"points\":{},\"fresh_points\":{},\"total_points\":{}}}",
-                ev.from_shard,
-                ev.peer_iterations,
-                ev.boundary,
-                ev.points,
-                ev.fresh_points,
-                ev.total_points
-            ),
-            CampaignEvent::SeedImported(ev) => format!(
-                "{{\"event\":\"seed_imported\",\"from_shard\":{},\"boundary\":{},\"window\":{},\
-                 \"entropy\":{},\"gain\":{}}}",
-                ev.from_shard,
-                ev.boundary,
-                json_str(ev.window_type.name()),
-                ev.entropy,
-                ev.gain
-            ),
-            CampaignEvent::CampaignFinished {
-                iterations,
-                sim_runs,
-                sim_cycles,
-                coverage_points,
-                corpus_retained,
-                corpus_evicted,
-                failed_runs,
-                bugs,
-                first_bug,
-            } => format!(
-                "{{\"event\":\"campaign_finished\",\"iterations\":{},\"sim_runs\":{},\
-                 \"sim_cycles\":{},\"coverage_points\":{},\"corpus_retained\":{},\
-                 \"corpus_evicted\":{},\"failed_runs\":{},\"bugs\":{},\"first_bug\":{}}}",
-                iterations,
-                sim_runs,
-                sim_cycles,
-                coverage_points,
-                corpus_retained,
-                corpus_evicted,
-                failed_runs,
-                bugs,
-                match first_bug {
-                    Some(i) => i.to_string(),
-                    None => "null".to_string(),
-                }
-            ),
-        }
-    }
-}
 
 /// Forwards every campaign event, owned, down a bounded channel. Create
 /// with [`ChannelObserver::channel`]; the receiving side drains on its
@@ -258,54 +85,35 @@ fn fanout_instruments() -> (
 
 impl CampaignObserver for ChannelObserver {
     fn round_started(&mut self, ev: &RoundStarted) {
-        self.forward(CampaignEvent::RoundStarted(*ev));
+        self.forward(ev.into());
     }
 
     fn slot_committed(&mut self, ev: &SlotCommitted) {
-        self.forward(CampaignEvent::SlotCommitted(ev.clone()));
+        self.forward(ev.into());
     }
 
     fn coverage_gained(&mut self, ev: &CoverageGained<'_>) {
-        self.forward(CampaignEvent::CoverageGained {
-            slot: ev.slot,
-            points: ev.points.to_vec(),
-            total_points: ev.total_points,
-        });
+        self.forward(ev.into());
     }
 
     fn bug_found(&mut self, ev: &BugFound) {
-        self.forward(CampaignEvent::BugFound(ev.clone()));
+        self.forward(ev.into());
     }
 
     fn snapshot_written(&mut self, ev: &SnapshotWritten<'_>) {
-        self.forward(CampaignEvent::SnapshotWritten {
-            path: ev.path.to_path_buf(),
-            iterations: ev.iterations,
-            periodic: ev.periodic,
-        });
+        self.forward(ev.into());
     }
 
     fn peer_delta_imported(&mut self, ev: &PeerDeltaImported) {
-        self.forward(CampaignEvent::PeerDeltaImported(*ev));
+        self.forward(ev.into());
     }
 
     fn seed_imported(&mut self, ev: &SeedImported) {
-        self.forward(CampaignEvent::SeedImported(*ev));
+        self.forward(ev.into());
     }
 
     fn campaign_finished(&mut self, ev: &CampaignFinished<'_>) {
-        let stats = &ev.report.stats;
-        self.forward(CampaignEvent::CampaignFinished {
-            iterations: stats.iterations,
-            sim_runs: stats.sim_runs,
-            sim_cycles: stats.sim_cycles,
-            coverage_points: stats.coverage(),
-            corpus_retained: ev.report.corpus_retained,
-            corpus_evicted: ev.report.corpus_evicted,
-            failed_runs: stats.failed_runs,
-            bugs: stats.bugs.len(),
-            first_bug: stats.first_bug_iteration,
-        });
+        self.forward(ev.into());
     }
 }
 
@@ -429,132 +237,6 @@ mod unix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dejavuzz::gen::WindowType;
-    use dejavuzz::observer::JsonLinesObserver;
-
-    fn sample_events() -> Vec<CampaignEvent> {
-        vec![
-            CampaignEvent::RoundStarted(RoundStarted {
-                first_slot: 0,
-                slots: 8,
-                gain_threshold_samples: 3,
-            }),
-            CampaignEvent::SlotCommitted(SlotCommitted {
-                slot: 0,
-                stream: 1,
-                window_type: WindowType::ALL[0],
-                triggered: true,
-                to: 5,
-                eto: 2,
-                sim_runs: 4,
-                final_gain: 3,
-                fresh_points: 2,
-                total_points: 2,
-                error: Some("i/o \"late\"".into()),
-            }),
-            CampaignEvent::CoverageGained {
-                slot: 0,
-                points: vec![
-                    CoveragePoint {
-                        module: "rob",
-                        index: 1,
-                    },
-                    CoveragePoint {
-                        module: "lsu",
-                        index: 2,
-                    },
-                ],
-                total_points: 2,
-            },
-            CampaignEvent::SnapshotWritten {
-                path: PathBuf::from("/tmp/c.snap"),
-                iterations: 8,
-                periodic: true,
-            },
-            CampaignEvent::PeerDeltaImported(PeerDeltaImported {
-                from_shard: 3,
-                peer_iterations: 40,
-                boundary: 8,
-                points: 5,
-                fresh_points: 4,
-                total_points: 6,
-            }),
-            CampaignEvent::SeedImported(SeedImported {
-                from_shard: 3,
-                boundary: 8,
-                window_type: WindowType::ALL[1],
-                entropy: 77,
-                gain: 9,
-            }),
-        ]
-    }
-
-    /// The owned serialiser and [`JsonLinesObserver`] must never drift:
-    /// replaying each owned event through the observer yields exactly
-    /// `to_json()` plus the newline.
-    #[test]
-    fn to_json_matches_json_lines_observer_byte_for_byte() {
-        for ev in sample_events() {
-            let mut sink = Vec::new();
-            {
-                let mut obs = JsonLinesObserver::new(&mut sink);
-                match &ev {
-                    CampaignEvent::RoundStarted(e) => obs.round_started(e),
-                    CampaignEvent::SlotCommitted(e) => obs.slot_committed(e),
-                    CampaignEvent::CoverageGained {
-                        slot,
-                        points,
-                        total_points,
-                    } => obs.coverage_gained(&CoverageGained {
-                        slot: *slot,
-                        points,
-                        total_points: *total_points,
-                    }),
-                    CampaignEvent::BugFound(e) => obs.bug_found(e),
-                    CampaignEvent::SnapshotWritten {
-                        path,
-                        iterations,
-                        periodic,
-                    } => obs.snapshot_written(&SnapshotWritten {
-                        path,
-                        iterations: *iterations,
-                        periodic: *periodic,
-                    }),
-                    CampaignEvent::PeerDeltaImported(e) => obs.peer_delta_imported(e),
-                    CampaignEvent::SeedImported(e) => obs.seed_imported(e),
-                    CampaignEvent::CampaignFinished { .. } => unreachable!("not sampled"),
-                }
-            }
-            assert_eq!(
-                String::from_utf8(sink).unwrap(),
-                format!("{}\n", ev.to_json()),
-                "owned serialiser drifted for {ev:?}"
-            );
-        }
-    }
-
-    /// The campaign_finished JSON (flattened fields) matches the
-    /// observer's rendering of a null first_bug.
-    #[test]
-    fn campaign_finished_json_renders_null_first_bug() {
-        let ev = CampaignEvent::CampaignFinished {
-            iterations: 16,
-            sim_runs: 64,
-            sim_cycles: 4096,
-            coverage_points: 21,
-            corpus_retained: 5,
-            corpus_evicted: 1,
-            failed_runs: 0,
-            bugs: 0,
-            first_bug: None,
-        };
-        assert_eq!(
-            ev.to_json(),
-            "{\"event\":\"campaign_finished\",\"iterations\":16,\"sim_runs\":64,\
-             \"sim_cycles\":4096,\"coverage_points\":21,\"corpus_retained\":5,\
-             \"corpus_evicted\":1,\"failed_runs\":0,\"bugs\":0,\"first_bug\":null}"
-        );
-    }
 
     #[test]
     fn channel_observer_forwards_events_in_order() {
@@ -603,26 +285,31 @@ mod tests {
 
         let (ours, mut theirs) = UnixStream::pair().unwrap();
         let mut obs = SocketObserver::from_stream(ours, 16);
-        let events = sample_events();
-        obs.round_started(&RoundStarted {
+        let round = RoundStarted {
             first_slot: 0,
             slots: 8,
             gain_threshold_samples: 3,
-        });
-        obs.peer_delta_imported(&PeerDeltaImported {
+        };
+        let delta = PeerDeltaImported {
             from_shard: 3,
             peer_iterations: 40,
             boundary: 8,
             points: 5,
             fresh_points: 4,
             total_points: 6,
-        });
+        };
+        obs.round_started(&round);
+        obs.peer_delta_imported(&delta);
         drop(obs); // joins the writer: everything queued is on the wire
         let mut wire = String::new();
         theirs.read_to_string(&mut wire).unwrap();
         assert_eq!(
             wire,
-            format!("{}\n{}\n", events[0].to_json(), events[4].to_json())
+            format!(
+                "{}\n{}\n",
+                CampaignEvent::from(&round).to_json(),
+                CampaignEvent::from(&delta).to_json()
+            )
         );
     }
 }

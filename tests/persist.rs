@@ -336,6 +336,71 @@ fn chained_pipelined_resumes_compose() {
     assert_reports_identical(&full, &resumed);
 }
 
+/// `halt_after(n)` with `n` at or below the iterations already
+/// completed dispatches nothing, at every pipeline lag: a fresh run
+/// halts at iteration 0 (lag 1 used to run its first round regardless),
+/// and a resumed snapshot carrying an in-flight round comes back
+/// byte-identical — the pending round rides along un-dispatched. Either
+/// snapshot still resumes onto the uninterrupted run.
+#[test]
+fn halt_at_or_below_completed_dispatches_nothing_at_any_lag() {
+    use dejavuzz::scheduler::SchedulerSpec;
+
+    const TOTAL: usize = 16;
+    for lag in [0, 1] {
+        let orch = campaign(FuzzerOptions::default(), 2, 3)
+            .scheduler(SchedulerSpec::WorkStealing)
+            .pipeline_lag(lag);
+        let full = orch.clone().build().unwrap().run_snapshotting(TOTAL);
+
+        // Fresh run, halt 0.
+        let (report, snap) = orch
+            .clone()
+            .halt_after(0)
+            .build()
+            .unwrap()
+            .run_snapshotting(TOTAL);
+        assert_eq!(report.stats.iterations, 0, "lag {lag}");
+        assert_eq!(snap.completed, 0, "lag {lag}");
+        assert!(snap.pending.is_none(), "lag {lag}: nothing was dispatched");
+        let (resumed, resumed_snap) = orch
+            .clone()
+            .resume(CampaignSnapshot::from_bytes(&snap.to_bytes()).unwrap())
+            .build()
+            .unwrap()
+            .run_snapshotting(TOTAL);
+        assert_reports_identical(&full.0, &resumed);
+        assert_eq!(resumed_snap.to_bytes(), full.1.to_bytes(), "lag {lag}");
+
+        // Resumed run whose halt point is already behind it.
+        let (_, mid) = orch
+            .clone()
+            .halt_after(5)
+            .build()
+            .unwrap()
+            .run_snapshotting(TOTAL);
+        assert!(mid.completed >= 5 && mid.completed < TOTAL, "lag {lag}");
+        assert_eq!(mid.pending.is_some(), lag > 0, "lag {lag}");
+        for halt in [0, mid.completed] {
+            let (report, again) = orch
+                .clone()
+                .resume(CampaignSnapshot::from_bytes(&mid.to_bytes()).unwrap())
+                .halt_after(halt)
+                .build()
+                .unwrap()
+                .run_snapshotting(TOTAL);
+            assert_eq!(report.stats.iterations, mid.completed, "lag {lag}");
+            assert_eq!(
+                again.to_bytes(),
+                mid.to_bytes(),
+                "lag {lag}, halt {halt}: the snapshot carries over unchanged"
+            );
+        }
+        let resumed = orch.resume(mid).build().unwrap().run(TOTAL);
+        assert_reports_identical(&full.0, &resumed);
+    }
+}
+
 /// Backward compatibility with v2 snapshot files: a real campaign's
 /// snapshot re-encoded exactly as the v2 writer produced it (scheduling
 /// tail, no scheduler-state blob) must load under the v3 reader and

@@ -3,7 +3,7 @@
 //! refactor is specified against.
 
 use dejavuzz::backend::BackendSpec;
-use dejavuzz::campaign::{parallel_run, Campaign, FuzzerOptions};
+use dejavuzz::campaign::{Campaign, FuzzerOptions};
 use dejavuzz::executor;
 use dejavuzz_ift::CoverageMatrix;
 use dejavuzz_uarch::boom_small;
@@ -78,27 +78,6 @@ fn pool_still_finds_bugs_on_vulnerable_boom() {
         "40 pooled iterations must surface a leak"
     );
     assert!(report.stats.first_bug_iteration.is_some());
-}
-
-/// The historical `parallel_run` signature survives as a façade over the
-/// executor: `threads * iterations_per_thread` total iterations, exact
-/// curve included (the old implementation returned an *empty* curve).
-#[test]
-fn parallel_run_facade_matches_executor() {
-    let stats = parallel_run(boom(), FuzzerOptions::default(), 2, 5, 77);
-    assert_eq!(stats.iterations, 10);
-    assert_eq!(
-        stats.coverage_curve.len(),
-        10,
-        "exact curve, one point per iteration"
-    );
-    assert!(
-        stats.coverage_curve.windows(2).all(|w| w[0] <= w[1]),
-        "monotone"
-    );
-    let direct = executor::run(boom(), FuzzerOptions::default(), 2, 10, 77);
-    assert_eq!(stats.bugs, direct.stats.bugs);
-    assert_eq!(stats.coverage_curve, direct.stats.coverage_curve);
 }
 
 /// The single-worker `Campaign` façade and the ablation constructors keep
