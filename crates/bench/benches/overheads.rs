@@ -3,7 +3,7 @@
 //! one fuzzing iteration end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dejavuzz::campaign::{Campaign, FuzzerOptions};
+use dejavuzz::builder::CampaignBuilder;
 use dejavuzz_ift::IftMode;
 use dejavuzz_rtl::examples::{synthetic_core, CoreScale};
 use dejavuzz_rtl::instrument;
@@ -40,14 +40,19 @@ fn instrument_passes(c: &mut Criterion) {
     g.finish();
 }
 
+/// Every sample runs the same one-iteration campaign (1 worker, batch
+/// 1), so samples time identical work: worker spawn, the three phases
+/// and the commit.
 fn fuzz_iteration(c: &mut Criterion) {
     c.bench_function("fuzz_iteration", |b| {
-        let mut campaign = Campaign::with_backend(
-            dejavuzz::BackendSpec::behavioural(boom_small()),
-            FuzzerOptions::default(),
-            1,
-        );
-        b.iter(|| campaign.iteration())
+        let campaign = CampaignBuilder::new()
+            .backend(dejavuzz::BackendSpec::behavioural(boom_small()))
+            .workers(1)
+            .batch(1)
+            .seed(1)
+            .build()
+            .expect("a valid bench configuration");
+        b.iter(|| campaign.run(1))
     });
 }
 

@@ -89,7 +89,7 @@ fn backends(c: &mut Criterion) {
         let mut backend = BehaviouralBackend::new(boom_small());
         b.iter(|| phase1(&mut backend, &seed, &opts).unwrap())
     });
-    // Dyn dispatch: what Campaign/Worker actually do.
+    // Dyn dispatch: what the executor's workers actually do.
     g.bench_function("phase1_behavioural_dyn", |b| {
         let mut backend: Box<dyn SimBackend> = BackendSpec::default().build();
         b.iter(|| phase1(backend.as_mut(), &seed, &opts).unwrap())

@@ -492,21 +492,9 @@ pub fn table5(iterations: usize) -> String {
 }
 
 /// End-to-end executor throughput: runs `iterations` pipeline iterations
-/// on a `workers`-sized shared-corpus pool and returns `(wall-clock,
-/// seeds/sec)`. Backs the `throughput` Criterion bench and the scaling
-/// rows of EXPERIMENTS.md.
-pub fn throughput(workers: usize, iterations: usize, seed: u64) -> (Duration, f64) {
-    throughput_with(
-        &dejavuzz::BackendSpec::behavioural(boom_small()),
-        workers,
-        iterations,
-        seed,
-    )
-}
-
-/// [`throughput`], generalised over the simulation backend — the
-/// behavioural-vs-netlist comparison rows of EXPERIMENTS.md come from
-/// here (and the `backends` binary).
+/// of `backend` on a `workers`-sized shared-corpus pool and returns
+/// `(wall-clock, seeds/sec)`. The behavioural-vs-netlist comparison rows
+/// of EXPERIMENTS.md come from here (and the `backends` binary).
 pub fn throughput_with(
     backend: &dejavuzz::BackendSpec,
     workers: usize,
@@ -561,19 +549,9 @@ pub struct ThroughputSample {
     pub view_setup_nanos: u64,
 }
 
-/// Runs one campaign under the given backend × scheduler and measures it.
-pub fn throughput_sample(
-    backend: &dejavuzz::BackendSpec,
-    scheduler: dejavuzz::SchedulerSpec,
-    workers: usize,
-    iterations: usize,
-    seed: u64,
-) -> ThroughputSample {
-    throughput_sample_lagged(backend, scheduler, workers, iterations, seed, 0)
-}
-
-/// [`throughput_sample`] with a cross-round pipeline feedback lag
-/// (requires a queue-planning scheduler when `lag > 0`).
+/// Runs one campaign under the given backend × scheduler with a
+/// cross-round pipeline feedback lag (0 = barriered rounds; `lag > 0`
+/// requires a queue-planning scheduler) and measures it.
 pub fn throughput_sample_lagged(
     backend: &dejavuzz::BackendSpec,
     scheduler: dejavuzz::SchedulerSpec,
@@ -859,7 +837,8 @@ mod tests {
 
     #[test]
     fn throughput_measures_a_real_run() {
-        let (elapsed, seeds_per_sec) = throughput(2, 8, 5);
+        let spec = dejavuzz::BackendSpec::behavioural(boom_small());
+        let (elapsed, seeds_per_sec) = throughput_with(&spec, 2, 8, 5);
         assert!(elapsed.as_nanos() > 0);
         assert!(seeds_per_sec > 0.0);
     }

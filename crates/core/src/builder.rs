@@ -200,30 +200,6 @@ impl From<registry::RegistryError> for BuildError {
     }
 }
 
-/// Interns a list of scenario specs and returns the campaign's canonical
-/// scenario set: `(canonical specs, intern indices)`, both sorted by the
-/// canonical spec *string* and deduplicated. Sorting by string (not by
-/// process-local intern index) is what makes the k-th fresh-seed draw
-/// map to the same scenario instance in every process — intern order
-/// differs between a fresh build and a resume.
-pub(crate) fn intern_scenarios<S: AsRef<str>>(
-    specs: &[S],
-) -> Result<(Vec<String>, Vec<u16>), BuildError> {
-    let mut interned: Vec<(String, u16)> = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let spec = spec.as_ref();
-        let idx =
-            dejavuzz_scenarios::intern_spec(spec).map_err(|e| BuildError::InvalidScenario {
-                spec: spec.to_string(),
-                detail: e.to_string(),
-            })?;
-        interned.push((dejavuzz_scenarios::instance_spec(idx).to_string(), idx));
-    }
-    interned.sort_by(|a, b| a.0.cmp(&b.0));
-    interned.dedup_by(|a, b| a.0 == b.0);
-    Ok(interned.into_iter().unzip())
-}
-
 /// The typed campaign entry point. See the module docs; every method is
 /// chainable, the builder is `Clone` (re-run the same configuration with
 /// different halt points, as the persistence tests do) and
@@ -591,7 +567,24 @@ impl CampaignBuilder {
             self.pipeline_lag = snap.pipeline_lag;
             self.scenarios = snap.scenarios.clone();
         }
-        let (scenario_specs, scenarios) = intern_scenarios(&self.scenarios)?;
+        // The canonical scenario set: (canonical specs, intern indices),
+        // both sorted by the canonical spec *string* and deduplicated.
+        // Sorting by string (not by process-local intern index) is what
+        // makes the k-th fresh-seed draw map to the same scenario instance
+        // in every process — intern order differs between a fresh build
+        // and a resume.
+        let mut interned: Vec<(String, u16)> = Vec::with_capacity(self.scenarios.len());
+        for spec in &self.scenarios {
+            let idx =
+                dejavuzz_scenarios::intern_spec(spec).map_err(|e| BuildError::InvalidScenario {
+                    spec: spec.clone(),
+                    detail: e.to_string(),
+                })?;
+            interned.push((dejavuzz_scenarios::instance_spec(idx).to_string(), idx));
+        }
+        interned.sort_by(|a, b| a.0.cmp(&b.0));
+        interned.dedup_by(|a, b| a.0 == b.0);
+        let (scenario_specs, scenarios): (Vec<String>, Vec<u16>) = interned.into_iter().unzip();
         if self.workers == 0 {
             return Err(BuildError::ZeroWorkers);
         }

@@ -11,10 +11,9 @@
 //! every reschedule, so a once-interesting seed cannot monopolise the
 //! pipeline; capacity eviction drops the lowest-energy entry first.
 //!
-//! Scheduling draws all randomness from a caller-supplied RNG, so a
-//! single-worker [`crate::Campaign`] and the multi-worker
+//! Scheduling draws all randomness from a caller-supplied RNG, so the
 //! [`crate::executor`] (which schedules centrally from the orchestrator)
-//! are both exactly reproducible.
+//! is exactly reproducible at any worker count.
 //!
 //! # Plan-time vs. commit-time reads under the cross-round pipeline
 //!
@@ -147,18 +146,17 @@ impl Corpus {
 
     /// Rebuilds a corpus from snapshot state, entry order preserved
     /// (scheduling iterates entries in order, so order is part of the
-    /// resume-equivalence contract). `energy` is the persisted scheduling
-    /// mass; `None` (old snapshots that predate the cache) falls back to
-    /// a fresh scan.
+    /// resume-equivalence contract). The scheduling-mass cache starts
+    /// from a fresh scan; a snapshot then installs its persisted value
+    /// with [`Corpus::set_energy_cache`].
     pub(crate) fn restore(
         entries: Vec<CorpusEntry>,
         capacity: usize,
         exploit_probability: f64,
         retained: usize,
         evicted: usize,
-        energy: Option<f64>,
     ) -> Self {
-        let energy = energy.unwrap_or_else(|| entries.iter().map(|e| e.energy()).sum());
+        let energy = entries.iter().map(|e| e.energy()).sum();
         Corpus {
             entries,
             capacity: capacity.max(1),
@@ -207,8 +205,8 @@ impl Corpus {
 
     /// The raw cache value, persisted by campaign snapshots so resumed
     /// roulette draws replay against bit-identical scheduling mass.
-    /// Public read-only: external persistence tooling (and the snapshot
-    /// version-skew tests) re-encode it verbatim.
+    /// Public read-only: external persistence tooling re-encodes it
+    /// verbatim.
     pub fn energy_cache(&self) -> f64 {
         self.energy
     }

@@ -232,12 +232,12 @@ fn modelled_makespan(rounds: &[RoundCosts], workers: usize, depth: usize) -> u64
     clocks.into_iter().max().unwrap_or(0)
 }
 
-/// One three-phase pipeline iteration. Shared by [`Worker`] and the
-/// single-worker [`crate::Campaign`] façade. Dyn-dispatched on the
-/// backend: one virtual call per *simulation*, noise against the
-/// simulation itself (measured by the `backends` Criterion group).
+/// One three-phase pipeline iteration, run by a [`Worker`] for each slot
+/// it executes. Dyn-dispatched on the backend: one virtual call per
+/// *simulation*, noise against the simulation itself (measured by the
+/// `backends` Criterion group).
 #[allow(clippy::too_many_arguments)] // the iteration's full context, spelled out
-pub(crate) fn run_iteration<V: CoverageView>(
+fn run_iteration<V: CoverageView>(
     backend: &mut dyn SimBackend,
     opts: &FuzzerOptions,
     slot: usize,
@@ -245,8 +245,8 @@ pub(crate) fn run_iteration<V: CoverageView>(
     scenarios: &[u16],
     rng: &mut StdRng,
     view: &mut V,
-    mut observed: Option<&mut CoverageMatrix>,
-    shared: Option<&SharedCoverage>,
+    observed: &mut CoverageMatrix,
+    shared: &SharedCoverage,
     gain: &mut GainAverage,
 ) -> IterationOutcome {
     // A scheduled seed is borrowed for as long as it stays unmutated, so
@@ -301,14 +301,13 @@ pub(crate) fn run_iteration<V: CoverageView>(
 
     // Phase 2 with coverage feedback: mutate the window section while the
     // gain stays below the shared running average.
-    let track_observed = observed.is_some();
     let mut best = None;
     for attempt in 0..=opts.mutation_attempts {
         let mut sink = RecordingCoverage {
             view: &mut *view,
             recorded: &mut out.fresh_points,
-            observed: observed.as_deref_mut(),
-            observed_recorded: track_observed.then_some(&mut out.observed_fresh),
+            observed: &mut *observed,
+            observed_recorded: &mut out.observed_fresh,
             shared,
         };
         let p2 = match phase2(backend, &seed, &p1, &mut sink, &opts.phases) {
@@ -356,7 +355,7 @@ pub(crate) fn run_iteration<V: CoverageView>(
 
 /// Folds an outcome's counters into campaign stats (curve, bugs, gain and
 /// corpus handling stay with the caller, which knows the global ordering).
-pub(crate) fn fold_outcome(stats: &mut CampaignStats, o: &IterationOutcome) {
+fn fold_outcome(stats: &mut CampaignStats, o: &IterationOutcome) {
     stats.iterations += 1;
     stats.sim_runs += o.sim_runs;
     stats.sim_cycles += o.sim_cycles;
@@ -588,8 +587,8 @@ impl Worker {
                 &self.scenarios,
                 &mut self.rng,
                 &mut self.view,
-                Some(&mut self.observed),
-                Some(&self.shared),
+                &mut self.observed,
+                &self.shared,
                 &mut gain,
             );
             out.stream = self.id;
@@ -653,8 +652,8 @@ impl Worker {
                 &self.scenarios,
                 &mut self.rng, // never drawn from: the seed is pre-drawn
                 &mut slot_view,
-                Some(&mut slot_observed),
-                Some(&self.shared),
+                &mut slot_observed,
+                &self.shared,
                 &mut slot_gain,
             );
             out.stream = item.stream;

@@ -39,48 +39,9 @@ use crate::scheduler::{Favour, PlannedSlot, PolicySpec, PolicyState, SchedulerSp
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DJVZSNAP";
 
-/// Snapshot format version this build writes.
-///
-/// * **v1** — through the snapshot/resume PR: geometry, options, corpus,
-///   coverage, stats, RNG streams, per-worker states.
-/// * **v2** — adds the scheduling layer: scheduler and seed-policy
-///   selectors, the policy's persistable state (favoured map + quota
-///   counters), and the corpus's cached scheduling mass (so resumed
-///   roulette draws replay bit-identically against the incrementally
-///   maintained total).
-/// * **v3** — opens the closed v2 enums to the extension registry:
-///   scheduler/policy selectors gain an `Extension(id)` tag, policy
-///   state gains an opaque blob variant, and the snapshot carries the
-///   scheduler's own opaque state blob — so campaigns running
-///   *user-supplied* scheduler/policy implementations round-trip through
-///   persistence by id ([`crate::registry`] rehydrates them on resume).
-/// * **v4** — the cross-round steal pipeline: the configured
-///   `pipeline_lag` plus, when a checkpoint lands while a pipelined
-///   round is still in flight, that round's pre-drawn plan and the
-///   coverage points committed since its dispatch ([`PendingRound`]) —
-///   enough for a resume to re-dispatch it verbatim and splice
-///   bit-identically instead of re-planning (which would double-draw the
-///   scheduler RNG and double-decay the corpus). Barriered campaigns
-///   write `lag = 0` and no pending round, so their v4 files carry nine
-///   extra bytes and decode exactly as before.
-/// * **v5** — the scenario library: the campaign's enabled scenario
-///   specs (canonical `family:param=value` strings, part of the replay
-///   identity and adopted on resume), and [`WindowType`] gains a
-///   variable-length tag-8 encoding for [`WindowType::Scenario`]
-///   windows carrying the instance's canonical spec — cross-process
-///   identity is the spec *string*, never the process-local intern
-///   index. Campaigns with no scenarios enabled write an empty list, so
-///   their v5 files carry eight extra bytes and decode exactly as
-///   before; pre-v5 files decode with no scenarios (none existed).
+/// Snapshot format version this build writes and reads; frames of any
+/// other version fail with [`DecodeError::UnsupportedVersion`].
 pub const SNAPSHOT_VERSION: u32 = 5;
-
-/// Oldest snapshot version this build still reads. v1 files decode with
-/// scheduling defaults (round-robin, energy decay, stateless policy, a
-/// re-scanned energy cache) — exactly the configuration every v1
-/// campaign ran with; v2 files decode with an empty scheduler state blob
-/// (no v2 scheduler had one); v1–v3 files all decode with pipelining off
-/// and no pending round (no earlier campaign pipelined).
-pub const SNAPSHOT_MIN_VERSION: u32 = 1;
 
 impl Persist for WindowType {
     fn encode(&self, enc: &mut Encoder) {
@@ -178,11 +139,11 @@ impl Persist for Corpus {
         let retained = dec.usize()?;
         let evicted = dec.usize()?;
         let entries = Vec::<CorpusEntry>::decode(dec)?;
-        // The energy cache travels as a separate v2 snapshot field (the
-        // corpus wire format itself is version-agnostic); a fresh scan
-        // here keeps bare round trips and v1 files correct.
+        // The energy cache travels as a separate snapshot field, checked
+        // against this fresh scan there; the scan alone keeps bare
+        // corpus round trips correct.
         Ok(Corpus::restore(
-            entries, capacity, exploit, retained, evicted, None,
+            entries, capacity, exploit, retained, evicted,
         ))
     }
 }
@@ -623,29 +584,12 @@ impl Persist for CampaignSnapshot {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        CampaignSnapshot::decode_versioned(dec, SNAPSHOT_VERSION)
-    }
-}
-
-impl CampaignSnapshot {
-    /// Decodes a snapshot payload of a specific format version: the v1
-    /// prefix is shared, the v2 tail carries the scheduling layer (v1
-    /// files get the defaults every v1 campaign ran with), the v3 tail
-    /// carries the scheduler's opaque extension state (empty for v1/v2
-    /// files — no earlier scheduler had any), the v4 tail carries the
-    /// pipeline lag and any in-flight pipelined round (v1–v3 files all
-    /// ran barriered).
-    fn decode_versioned(dec: &mut Decoder<'_>, version: u32) -> Result<Self, DecodeError> {
         let mut snap = CampaignSnapshot {
             shard_id: dec.u32()?,
             backend: dec.string()?,
             workers: dec.usize()?,
             seed: dec.u64()?,
             batch: dec.usize()?,
-            scheduler: SchedulerSpec::RoundRobin,
-            scheduler_state: Vec::new(),
-            policy: PolicySpec::EnergyDecay,
-            policy_state: PolicyState::Stateless,
             opts: FuzzerOptions::decode(dec)?,
             completed: dec.usize()?,
             gain_avg: dec.f64()?,
@@ -655,46 +599,36 @@ impl CampaignSnapshot {
             coverage: CoverageMatrix::decode(dec)?,
             stats: CampaignStats::decode(dec)?,
             worker_states: Vec::<WorkerState>::decode(dec)?,
+            scheduler: SchedulerSpec::decode(dec)?,
+            policy: PolicySpec::decode(dec)?,
+            policy_state: PolicyState::decode(dec)?,
+            scheduler_state: Vec::new(),
             pipeline_lag: 0,
             pending: None,
             scenarios: Vec::new(),
         };
-        if version >= 2 {
-            snap.scheduler = SchedulerSpec::decode(dec)?;
-            snap.policy = PolicySpec::decode(dec)?;
-            snap.policy_state = PolicyState::decode(dec)?;
-            let energy = dec.f64()?;
-            // `Corpus::decode` above restored the cache from a fresh
-            // scan; the persisted value may differ from it only by the
-            // incremental-update float drift the cache exists to make
-            // reproducible. Anything further off is a corrupt or crafted
-            // file — accepting it would skew every roulette pick (and
-            // trip the debug cross-check as a panic instead of a
-            // structured error).
-            let scan = snap.corpus.energy_cache();
-            if !energy.is_finite()
-                || energy < 0.0
-                || (energy - scan).abs() > 1e-6 * scan.abs().max(1.0)
-            {
-                return Err(DecodeError::InvalidValue {
-                    what: "CampaignSnapshot::corpus_energy",
-                    detail: format!(
-                        "{energy} is not a valid scheduling mass for entries summing to {scan}"
-                    ),
-                });
-            }
-            snap.corpus.set_energy_cache(energy);
+        let energy = dec.f64()?;
+        // `Corpus::decode` above restored the cache from a fresh scan; the
+        // persisted value may differ from it only by the incremental-update
+        // float drift the cache exists to make reproducible. Anything
+        // further off is a corrupt or crafted file — accepting it would
+        // skew every roulette pick (and trip the debug cross-check as a
+        // panic instead of a structured error).
+        let scan = snap.corpus.energy_cache();
+        if !energy.is_finite() || energy < 0.0 || (energy - scan).abs() > 1e-6 * scan.abs().max(1.0)
+        {
+            return Err(DecodeError::InvalidValue {
+                what: "CampaignSnapshot::corpus_energy",
+                detail: format!(
+                    "{energy} is not a valid scheduling mass for entries summing to {scan}"
+                ),
+            });
         }
-        if version >= 3 {
-            snap.scheduler_state = dec.bytes()?.to_vec();
-        }
-        if version >= 4 {
-            snap.pipeline_lag = dec.usize()?;
-            snap.pending = Option::<PendingRound>::decode(dec)?;
-        }
-        if version >= 5 {
-            snap.scenarios = Vec::<String>::decode(dec)?;
-        }
+        snap.corpus.set_energy_cache(energy);
+        snap.scheduler_state = dec.bytes()?.to_vec();
+        snap.pipeline_lag = dec.usize()?;
+        snap.pending = Option::<PendingRound>::decode(dec)?;
+        snap.scenarios = Vec::<String>::decode(dec)?;
         if let Some(p) = &snap.pending {
             // A pending round is the in-flight round at the committed
             // frontier: its first slot must be exactly `completed`, and a
@@ -756,17 +690,11 @@ impl CampaignSnapshot {
     }
 
     /// Decodes a framed snapshot, validating magic, version and checksum
-    /// before any state decoding. Reads every version in
-    /// [`SNAPSHOT_MIN_VERSION`]`..=`[`SNAPSHOT_VERSION`]; writing always
-    /// produces the current version.
+    /// before any state decoding.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (version, payload) = frame::open_versioned(
-            SNAPSHOT_MAGIC,
-            SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION,
-            bytes,
-        )?;
+        let payload = frame::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, bytes)?;
         let mut dec = Decoder::new(payload);
-        let snap = CampaignSnapshot::decode_versioned(&mut dec, version)?;
+        let snap = CampaignSnapshot::decode(&mut dec)?;
         dec.finish()?;
         Ok(snap)
     }
@@ -1007,154 +935,29 @@ mod tests {
         }
     }
 
-    /// Version skew: a v1 file (no scheduling tail) must decode with the
-    /// defaults every v1 campaign actually ran with, and versions below
-    /// the supported floor must still fail structurally.
+    /// Only the current format decodes: a well-formed, checksum-valid
+    /// frame of the previous version (the v5 payload minus its scenario
+    /// tail, exactly what a v4 writer produced) fails at the envelope
+    /// with a structured error naming both versions.
     #[test]
-    fn v1_snapshots_decode_with_scheduling_defaults() {
-        let mut snap = sample_snapshot();
-        // Exactly what the v1 writer produced: the shared prefix, no tail.
-        let mut enc = Encoder::new();
-        enc.u32(snap.shard_id);
-        enc.str(&snap.backend);
-        enc.usize(snap.workers);
-        enc.u64(snap.seed);
-        enc.usize(snap.batch);
-        snap.opts.encode(&mut enc);
-        enc.usize(snap.completed);
-        enc.f64(snap.gain_avg);
-        enc.usize(snap.gain_samples);
-        snap.sched_rng.encode(&mut enc);
-        snap.corpus.encode(&mut enc);
-        snap.coverage.encode(&mut enc);
-        snap.stats.encode(&mut enc);
-        snap.worker_states.encode(&mut enc);
-        let bytes = frame::seal(SNAPSHOT_MAGIC, 1, &enc.into_bytes());
-
-        let decoded = CampaignSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded.scheduler, SchedulerSpec::RoundRobin);
-        assert_eq!(decoded.policy, PolicySpec::EnergyDecay);
-        assert_eq!(decoded.policy_state, PolicyState::Stateless);
-        assert!(decoded.scheduler_state.is_empty());
-        snap.scheduler = SchedulerSpec::RoundRobin;
-        snap.scheduler_state = Vec::new();
-        snap.policy = PolicySpec::EnergyDecay;
-        snap.policy_state = PolicyState::Stateless;
-        assert_eq!(decoded, snap, "every v1 prefix field survives");
-
-        let too_old = frame::seal(SNAPSHOT_MAGIC, 0, &[]);
-        assert!(matches!(
-            CampaignSnapshot::from_bytes(&too_old),
-            Err(DecodeError::UnsupportedVersion { found: 0, .. })
-        ));
-    }
-
-    /// Version skew one step back: a v2 file (scheduling tail, no
-    /// scheduler-state blob) decodes with an empty blob and everything
-    /// else intact — the backward-load guarantee the extension registry
-    /// upgrade must not break.
-    #[test]
-    fn v2_snapshots_decode_with_an_empty_scheduler_state() {
-        let mut snap = sample_snapshot();
-        // Exactly what the v2 writer produced: prefix + v2 tail.
-        let mut enc = Encoder::new();
-        enc.u32(snap.shard_id);
-        enc.str(&snap.backend);
-        enc.usize(snap.workers);
-        enc.u64(snap.seed);
-        enc.usize(snap.batch);
-        snap.opts.encode(&mut enc);
-        enc.usize(snap.completed);
-        enc.f64(snap.gain_avg);
-        enc.usize(snap.gain_samples);
-        snap.sched_rng.encode(&mut enc);
-        snap.corpus.encode(&mut enc);
-        snap.coverage.encode(&mut enc);
-        snap.stats.encode(&mut enc);
-        snap.worker_states.encode(&mut enc);
-        snap.scheduler.encode(&mut enc);
-        snap.policy.encode(&mut enc);
-        snap.policy_state.encode(&mut enc);
-        enc.f64(snap.corpus.energy_cache());
-        let bytes = frame::seal(SNAPSHOT_MAGIC, 2, &enc.into_bytes());
-
-        let decoded = CampaignSnapshot::from_bytes(&bytes).unwrap();
-        assert!(decoded.scheduler_state.is_empty());
-        snap.scheduler_state = Vec::new();
-        assert_eq!(decoded, snap, "every v2 field survives");
-    }
-
-    /// Version skew one more step back: a v3 file (full scheduling tail,
-    /// no pipelining tail) decodes with pipelining off and no pending
-    /// round — no pre-v4 campaign ever pipelined.
-    #[test]
-    fn v3_snapshots_decode_with_pipelining_off() {
+    fn previous_version_frames_are_rejected() {
         let snap = sample_snapshot();
-        // Exactly what the v3 writer produced: prefix + v2 tail +
-        // scheduler-state blob, and nothing after.
-        let mut enc = Encoder::new();
-        enc.u32(snap.shard_id);
-        enc.str(&snap.backend);
-        enc.usize(snap.workers);
-        enc.u64(snap.seed);
-        enc.usize(snap.batch);
-        snap.opts.encode(&mut enc);
-        enc.usize(snap.completed);
-        enc.f64(snap.gain_avg);
-        enc.usize(snap.gain_samples);
-        snap.sched_rng.encode(&mut enc);
-        snap.corpus.encode(&mut enc);
-        snap.coverage.encode(&mut enc);
-        snap.stats.encode(&mut enc);
-        snap.worker_states.encode(&mut enc);
-        snap.scheduler.encode(&mut enc);
-        snap.policy.encode(&mut enc);
-        snap.policy_state.encode(&mut enc);
-        enc.f64(snap.corpus.energy_cache());
-        enc.bytes(&snap.scheduler_state);
-        let bytes = frame::seal(SNAPSHOT_MAGIC, 3, &enc.into_bytes());
-
-        let decoded = CampaignSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded.pipeline_lag, 0);
-        assert_eq!(decoded.pending, None);
-        assert_eq!(decoded, snap, "every v3 field survives");
-    }
-
-    /// Version skew one more step back: a v4 file (pipelining tail, no
-    /// scenario tail) decodes with an empty scenario list — no pre-v5
-    /// campaign ever enabled scenarios.
-    #[test]
-    fn v4_snapshots_decode_with_no_scenarios() {
-        let snap = sample_snapshot();
-        // Exactly what the v4 writer produced: everything through the
-        // pipelining tail, and nothing after.
-        let mut enc = Encoder::new();
-        enc.u32(snap.shard_id);
-        enc.str(&snap.backend);
-        enc.usize(snap.workers);
-        enc.u64(snap.seed);
-        enc.usize(snap.batch);
-        snap.opts.encode(&mut enc);
-        enc.usize(snap.completed);
-        enc.f64(snap.gain_avg);
-        enc.usize(snap.gain_samples);
-        snap.sched_rng.encode(&mut enc);
-        snap.corpus.encode(&mut enc);
-        snap.coverage.encode(&mut enc);
-        snap.stats.encode(&mut enc);
-        snap.worker_states.encode(&mut enc);
-        snap.scheduler.encode(&mut enc);
-        snap.policy.encode(&mut enc);
-        snap.policy_state.encode(&mut enc);
-        enc.f64(snap.corpus.energy_cache());
-        enc.bytes(&snap.scheduler_state);
-        enc.usize(snap.pipeline_lag);
-        snap.pending.encode(&mut enc);
-        let bytes = frame::seal(SNAPSHOT_MAGIC, 4, &enc.into_bytes());
-
-        let decoded = CampaignSnapshot::from_bytes(&bytes).unwrap();
-        assert!(decoded.scenarios.is_empty());
-        assert_eq!(decoded, snap, "every v4 field survives");
+        let payload = dejavuzz_persist::to_bytes(&snap);
+        let v4_payload = &payload[..payload.len() - 8]; // drop the empty scenario list
+        let v4 = frame::seal(SNAPSHOT_MAGIC, 4, v4_payload);
+        let err = CampaignSnapshot::from_bytes(&v4).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::UnsupportedVersion {
+                found: 4,
+                supported: SNAPSHOT_VERSION
+            }
+        );
+        assert_eq!(SNAPSHOT_VERSION, 5);
+        assert_eq!(
+            err.to_string(),
+            "unsupported frame version 4 (this build writes version 5)"
+        );
     }
 
     /// Scenario windows round-trip by canonical spec string: the decoded

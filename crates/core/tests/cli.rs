@@ -371,3 +371,50 @@ scenarios:
 ";
     assert_eq!(stdout, expected);
 }
+
+/// A snapshot of the previous format version — a real snapshot re-sealed
+/// as v4, checksum intact — is refused by both `--resume` and
+/// `dejavuzz-merge` with the pinned version message on stderr, never a
+/// panic.
+#[test]
+fn previous_version_snapshot_is_refused_by_resume_and_merge() {
+    use dejavuzz_persist::frame;
+
+    let dir = std::env::temp_dir().join(format!("djvz-cli-v4-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let v5 = dir.join("v5.snap");
+    let v4 = dir.join("v4.snap");
+    let (code, _, stderr) = fuzz(&["--iters", "4", "--snapshot", v5.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let bytes = std::fs::read(&v5).unwrap();
+    let payload = frame::open(dejavuzz::snapshot::SNAPSHOT_MAGIC, 5, &bytes).unwrap();
+    // The v4 layout is the v5 one minus the trailing (empty) scenario list.
+    let resealed = frame::seal(
+        dejavuzz::snapshot::SNAPSHOT_MAGIC,
+        4,
+        &payload[..payload.len() - 8],
+    );
+    std::fs::write(&v4, resealed).unwrap();
+
+    let merge = Command::new(env!("CARGO_BIN_EXE_dejavuzz-merge"))
+        .arg(&v4)
+        .output()
+        .expect("spawn dejavuzz-merge");
+    let resume = fuzz(&["--resume", v4.to_str().unwrap(), "--iters", "8"]);
+    for (tool, code, stderr) in [
+        (
+            "merge",
+            merge.status.code(),
+            String::from_utf8_lossy(&merge.stderr).into_owned(),
+        ),
+        ("resume", resume.0, resume.2),
+    ] {
+        assert_eq!(code, Some(2), "{tool} exits 2: {stderr}");
+        assert!(
+            stderr.contains("unsupported frame version 4 (this build writes version 5)"),
+            "{tool} stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{tool} stderr: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

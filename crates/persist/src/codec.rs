@@ -41,7 +41,7 @@ pub enum DecodeError {
     UnsupportedVersion {
         /// Version stored in the frame.
         found: u32,
-        /// Newest version this build reads.
+        /// Version this build writes (the newest it reads).
         supported: u32,
     },
     /// The payload checksum does not match the stored one (bit rot,
@@ -101,7 +101,7 @@ impl fmt::Display for DecodeError {
             ),
             DecodeError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported snapshot version {found} (this build reads up to {supported})"
+                "unsupported frame version {found} (this build writes version {supported})"
             ),
             DecodeError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -574,6 +574,10 @@ mod tests {
             found: 9,
             supported: 1,
         };
-        assert!(e.to_string().contains("version 9"));
+        assert_eq!(
+            e.to_string(),
+            "unsupported frame version 9 (this build writes version 1)",
+            "format-neutral: gossip and worker-pipe frames share the message"
+        );
     }
 }

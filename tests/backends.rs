@@ -10,7 +10,8 @@
 //! * a misconfigured backend must fail its runs, not the campaign.
 
 use dejavuzz::backend::{BackendSpec, NetlistBackend, NetlistIo};
-use dejavuzz::campaign::{Campaign, FuzzerOptions};
+use dejavuzz::builder::CampaignBuilder;
+use dejavuzz::campaign::FuzzerOptions;
 use dejavuzz::executor;
 use dejavuzz::gen::WindowType;
 use dejavuzz::phases::{phase1, phase2, PhaseOptions};
@@ -53,22 +54,6 @@ fn behavioural_backend_reproduces_pipeline_determinism() {
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.observed.sorted_points(), b.observed.sorted_points());
     }
-
-    // The single-worker façade agrees with itself run over run too.
-    let old = Campaign::with_backend(
-        BackendSpec::behavioural(boom_small()),
-        FuzzerOptions::default(),
-        9,
-    )
-    .run(10);
-    let new = Campaign::with_backend(
-        BackendSpec::behavioural(boom_small()),
-        FuzzerOptions::default(),
-        9,
-    )
-    .run(10);
-    assert_eq!(old.coverage_curve, new.coverage_curve);
-    assert_eq!(old.bugs, new.bugs);
 }
 
 /// (b) Figure 2 through the full phase-2 path: on the RoB-entry circuit a
@@ -144,18 +129,25 @@ fn netlist_backend_campaign_end_to_end() {
 /// counted, nothing panics.
 #[test]
 fn misconfigured_backend_fails_runs_not_the_campaign() {
-    let broken = NetlistBackend::new(
-        "broken",
-        synthetic_core(SMALL_SCALE),
-        NetlistIo {
-            data: 640,
-            control: 2,
-            index: 3,
-            aux: vec![],
-        },
-    );
-    let mut campaign = Campaign::with_boxed_backend(Box::new(broken), FuzzerOptions::default(), 3);
-    let stats = campaign.run(6);
+    let stats = CampaignBuilder::new()
+        .backend_ctor("broken-netlist-io", || {
+            Box::new(NetlistBackend::new(
+                "broken",
+                synthetic_core(SMALL_SCALE),
+                NetlistIo {
+                    data: 640,
+                    control: 2,
+                    index: 3,
+                    aux: vec![],
+                },
+            ))
+        })
+        .workers(1)
+        .seed(3)
+        .build()
+        .expect("a registered backend builds")
+        .run(6)
+        .stats;
     assert_eq!(stats.iterations, 6, "the campaign keeps running");
     assert_eq!(stats.failed_runs, 6, "every run failed cleanly");
     assert!(stats.bugs.is_empty());

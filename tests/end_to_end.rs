@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the full stack from assembler through
 //! swapMem, the core models, IFT and the three fuzzing phases.
 
-use dejavuzz::campaign::{Campaign, FuzzerOptions};
+use dejavuzz::campaign::FuzzerOptions;
+use dejavuzz::executor;
 use dejavuzz::gen::WindowType;
 use dejavuzz::phases::{phase1, phase2, phase3, PhaseOptions};
 use dejavuzz::Seed;
@@ -92,12 +93,14 @@ fn pipeline_finds_meltdown_leak_end_to_end() {
 #[test]
 fn campaigns_on_both_cores_find_bugs() {
     for cfg in [boom_small(), xiangshan_minimal()] {
-        let mut campaign = Campaign::with_backend(
+        let stats = executor::run(
             dejavuzz::BackendSpec::behavioural(cfg),
             FuzzerOptions::default(),
+            1,
+            40,
             0xABCD,
-        );
-        let stats = campaign.run(40);
+        )
+        .stats;
         assert!(
             !stats.bugs.is_empty(),
             "{}: 40 iterations must surface a leak",
@@ -112,12 +115,14 @@ fn fixed_hardware_survives_the_same_campaign() {
     // forwarding) yields no Meltdown-class encoded leaks.
     let mut cfg = boom_small();
     cfg.bugs = dejavuzz_uarch::BugSet::NONE;
-    let mut campaign = Campaign::with_backend(
+    let stats = executor::run(
         dejavuzz::BackendSpec::behavioural(cfg),
         FuzzerOptions::default(),
+        1,
+        30,
         0xABCD,
-    );
-    let stats = campaign.run(30);
+    )
+    .stats;
     let meltdown_encoded = stats
         .bugs
         .iter()
@@ -224,18 +229,22 @@ fn liveness_ablation_reclassifies_residue() {
     // §6.3: without liveness annotations, RoB/regfile residue turns into
     // reported "leaks".
     let cfg = boom_small();
-    let with = Campaign::with_backend(
+    let with = executor::run(
         dejavuzz::BackendSpec::behavioural(cfg),
         FuzzerOptions::default(),
+        1,
+        25,
         0x5151,
     )
-    .run(25);
-    let without = Campaign::with_backend(
+    .stats;
+    let without = executor::run(
         dejavuzz::BackendSpec::behavioural(cfg),
         FuzzerOptions::no_liveness(),
+        1,
+        25,
         0x5151,
     )
-    .run(25);
+    .stats;
     assert!(
         without.bugs.len() >= with.bugs.len(),
         "removing the filter can only add classifications: {} vs {}",

@@ -400,51 +400,3 @@ fn halt_at_or_below_completed_dispatches_nothing_at_any_lag() {
         assert_reports_identical(&full.0, &resumed);
     }
 }
-
-/// Backward compatibility with v2 snapshot files: a real campaign's
-/// snapshot re-encoded exactly as the v2 writer produced it (scheduling
-/// tail, no scheduler-state blob) must load under the v3 reader and
-/// resume bit-identically to the uninterrupted run.
-#[test]
-fn v2_snapshot_files_still_load_and_resume() {
-    use dejavuzz_persist::{frame, Encoder, Persist};
-
-    const TOTAL: usize = 24;
-    let orch = campaign(FuzzerOptions::default(), 2, 0x2BAC);
-    let full = orch.clone().build().unwrap().run(TOTAL);
-    let (_, snap) = orch
-        .clone()
-        .halt_after(9)
-        .build()
-        .unwrap()
-        .run_snapshotting(TOTAL);
-    assert!(snap.completed < TOTAL, "the halt must truly interrupt");
-    assert!(snap.scheduler_state.is_empty(), "built-ins are stateless");
-
-    // Exactly the v2 wire layout: v1 prefix + v2 scheduling tail.
-    let mut enc = Encoder::new();
-    enc.u32(snap.shard_id);
-    enc.str(&snap.backend);
-    enc.usize(snap.workers);
-    enc.u64(snap.seed);
-    enc.usize(snap.batch);
-    snap.opts.encode(&mut enc);
-    enc.usize(snap.completed);
-    enc.f64(snap.gain_avg);
-    enc.usize(snap.gain_samples);
-    snap.sched_rng.encode(&mut enc);
-    snap.corpus.encode(&mut enc);
-    snap.coverage.encode(&mut enc);
-    snap.stats.encode(&mut enc);
-    snap.worker_states.encode(&mut enc);
-    snap.scheduler.encode(&mut enc);
-    snap.policy.encode(&mut enc);
-    snap.policy_state.encode(&mut enc);
-    enc.f64(snap.corpus.energy_cache());
-    let v2_bytes = frame::seal(dejavuzz::snapshot::SNAPSHOT_MAGIC, 2, &enc.into_bytes());
-
-    let loaded = CampaignSnapshot::from_bytes(&v2_bytes).unwrap();
-    assert_eq!(loaded, snap, "every v2 field survives the version skew");
-    let resumed = orch.resume(loaded).build().unwrap().run(TOTAL);
-    assert_reports_identical(&full, &resumed);
-}

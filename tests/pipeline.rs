@@ -1,9 +1,9 @@
 //! Integration tests for the shared-corpus pipeline executor: the
-//! determinism, exact-union and façade-compatibility guarantees the
-//! refactor is specified against.
+//! determinism, exact-union and ablation-variant guarantees the campaign
+//! is specified against.
 
 use dejavuzz::backend::BackendSpec;
-use dejavuzz::campaign::{Campaign, FuzzerOptions};
+use dejavuzz::campaign::FuzzerOptions;
 use dejavuzz::executor;
 use dejavuzz_ift::CoverageMatrix;
 use dejavuzz_uarch::boom_small;
@@ -80,23 +80,20 @@ fn pool_still_finds_bugs_on_vulnerable_boom() {
     assert!(report.stats.first_bug_iteration.is_some());
 }
 
-/// The single-worker `Campaign` façade and the ablation constructors keep
-/// their public behaviour on top of the new pipeline internals.
+/// The ablation constructors of the public `campaign` module keep their
+/// behaviour through the executor: each variant runs its full budget.
 #[test]
 fn campaign_facade_keeps_public_behaviour() {
-    let mut campaign = Campaign::with_backend(boom(), FuzzerOptions::default(), 9);
-    let stats = campaign.run(12);
-    assert_eq!(stats.iterations, 12);
-    assert_eq!(stats.coverage_curve.len(), 12);
-    assert_eq!(stats.coverage(), campaign.coverage().points());
-
     for opts in [
+        FuzzerOptions::default(),
         FuzzerOptions::dejavuzz_star(),
         FuzzerOptions::dejavuzz_minus(),
         FuzzerOptions::no_liveness(),
     ] {
-        let stats = Campaign::with_backend(boom(), opts, 9).run(6);
-        assert_eq!(stats.iterations, 6, "ablation variants run unchanged");
+        let report = executor::run(boom(), opts, 1, 12, 9);
+        assert_eq!(report.stats.iterations, 12, "{opts:?} runs unchanged");
+        assert_eq!(report.stats.coverage_curve.len(), 12);
+        assert_eq!(report.stats.coverage(), report.coverage.points());
     }
 }
 
@@ -105,9 +102,8 @@ fn campaign_facade_keeps_public_behaviour() {
 /// Figure 7's middle curve stops isolating the mutation feedback.
 #[test]
 fn dejavuzz_minus_runs_without_coverage_driven_scheduling() {
-    let mut campaign = Campaign::with_backend(boom(), FuzzerOptions::dejavuzz_minus(), 5);
-    campaign.run(20);
-    assert!(campaign.corpus().is_empty(), "the ablation retains nothing");
+    let report = executor::run(boom(), FuzzerOptions::dejavuzz_minus(), 1, 20, 5);
+    assert_eq!(report.corpus_retained, 0, "the ablation retains nothing");
 
     let report = executor::run(boom(), FuzzerOptions::dejavuzz_minus(), 2, 16, 5);
     assert_eq!(report.corpus_retained, 0, "pooled ablation retains nothing");
@@ -117,10 +113,9 @@ fn dejavuzz_minus_runs_without_coverage_driven_scheduling() {
 /// retained and rescheduled.
 #[test]
 fn campaign_retains_interesting_seeds() {
-    let mut campaign = Campaign::with_backend(boom(), FuzzerOptions::default(), 5);
-    campaign.run(25);
+    let report = executor::run(boom(), FuzzerOptions::default(), 1, 25, 5);
     assert!(
-        !campaign.corpus().is_empty(),
+        report.corpus_retained > 0,
         "25 iterations on vulnerable BOOM must retain at least one gaining seed"
     );
 }
