@@ -29,6 +29,7 @@
 //! [`SimBackend`]; no further pipeline refactor is needed.
 
 use std::fmt;
+use std::sync::Arc;
 
 use dejavuzz_ift::{IftMode, SinkReport, TWord, TaintLog};
 use dejavuzz_isa::decode;
@@ -36,8 +37,8 @@ use dejavuzz_isa::instr::{Instr, Reg};
 use dejavuzz_rtl::examples::{
     rob_entry_circuit, synthetic_core, CoreScale, BOOM_SCALE, SMALL_SCALE, XIANGSHAN_SCALE,
 };
-use dejavuzz_rtl::ir::Netlist;
-use dejavuzz_rtl::sim::NetlistSim;
+use dejavuzz_rtl::ir::{Netlist, NetlistError};
+use dejavuzz_rtl::sim::{NetlistSim, SimProgram};
 use dejavuzz_swapmem::{PacketKind, SwapPacket};
 use dejavuzz_uarch::core::{Core, RunResult, TimingEvent};
 use dejavuzz_uarch::trace::{RobEvent, Trace, WindowInfo};
@@ -55,11 +56,9 @@ use crate::phases::{build_mem, DEFAULT_SECRET};
 /// simulator backend will bring process/protocol errors of its own.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BackendError {
-    /// The netlist failed SSA validation; carries the offending cell.
-    InvalidNetlist {
-        /// Index of the first invalid cell.
-        cell: usize,
-    },
+    /// The netlist failed [`Netlist::validate`]; carries the first
+    /// reference that does not resolve.
+    InvalidNetlist(NetlistError),
     /// An I/O mapping names an input port the netlist does not have.
     NoSuchInput {
         /// Which stimulus role was mapped onto the missing port.
@@ -82,9 +81,7 @@ pub enum BackendError {
 impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BackendError::InvalidNetlist { cell } => {
-                write!(f, "netlist fails SSA validation at cell {cell}")
-            }
+            BackendError::InvalidNetlist(e) => write!(f, "invalid netlist: {e}"),
             BackendError::NoSuchInput {
                 role,
                 index,
@@ -275,6 +272,10 @@ fn mix(word: u32, salt: u64) -> u64 {
 /// The netlist backend: drives a [`NetlistSim`] with a stimulus protocol
 /// derived from the swap schedule.
 ///
+/// The netlist is compiled into a [`SimProgram`] once, at construction;
+/// every run, in any [`IftMode`], instantiates fresh simulator state over
+/// that shared program.
+///
 /// # Stimulus protocol
 ///
 /// The netlist has no instruction decoder, so the backend *interprets*
@@ -309,18 +310,48 @@ fn mix(word: u32, salt: u64) -> u64 {
 #[derive(Clone, Debug)]
 pub struct NetlistBackend {
     dut: &'static str,
-    netlist: Netlist,
+    /// The compiled netlist every run instantiates, in any mode — or why
+    /// the netlist and I/O mapping cannot run, which every run reports.
+    program: Result<Arc<SimProgram>, BackendError>,
     io: NetlistIo,
 }
 
 impl NetlistBackend {
     /// A backend over an arbitrary netlist with an explicit I/O mapping.
     ///
-    /// The mapping is validated lazily at [`SimBackend::run`], so a
-    /// misconfiguration fails runs (reported per-iteration) rather than
-    /// construction.
+    /// The netlist is compiled here, once for all runs and modes. A
+    /// misconfiguration (an I/O role mapped onto a missing input port, or
+    /// a netlist that fails [`Netlist::validate`]) fails every run
+    /// (reported per-iteration) rather than construction.
     pub fn new(dut: &'static str, netlist: Netlist, io: NetlistIo) -> Self {
-        NetlistBackend { dut, netlist, io }
+        let program = Self::check_io(&netlist, &io).and_then(|()| {
+            SimProgram::compile(netlist)
+                .map(Arc::new)
+                .map_err(BackendError::InvalidNetlist)
+        });
+        NetlistBackend { dut, program, io }
+    }
+
+    /// Checks that every stimulus role maps onto an input port.
+    fn check_io(netlist: &Netlist, io: &NetlistIo) -> Result<(), BackendError> {
+        let inputs = netlist.input_count();
+        for (role, index) in [
+            ("data", io.data),
+            ("control", io.control),
+            ("index", io.index),
+        ]
+        .into_iter()
+        .chain(io.aux.iter().map(|&a| ("aux", a)))
+        {
+            if index >= inputs {
+                return Err(BackendError::NoSuchInput {
+                    role,
+                    index,
+                    inputs,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// A backend over a [`synthetic_core`] scale: `data`→`wdata`,
@@ -351,11 +382,6 @@ impl NetlistBackend {
                 aux: vec![],
             },
         )
-    }
-
-    /// The wrapped netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
     }
 
     /// Decodes the instruction at `addr` in a packet, if it is in range.
@@ -479,25 +505,8 @@ impl SimBackend for NetlistBackend {
         max_cycles: u64,
     ) -> Result<RunOutcome, BackendError> {
         // Fail a misconfigured backend per-run, not per-campaign.
-        let inputs = self.netlist.input_count();
-        for (role, index) in [
-            ("data", self.io.data),
-            ("control", self.io.control),
-            ("index", self.io.index),
-        ]
-        .into_iter()
-        .chain(self.io.aux.iter().map(|&a| ("aux", a)))
-        {
-            if index >= inputs {
-                return Err(BackendError::NoSuchInput {
-                    role,
-                    index,
-                    inputs,
-                });
-            }
-        }
-        let mut sim = NetlistSim::try_new(self.netlist.clone(), mode)
-            .map_err(|cell| BackendError::InvalidNetlist { cell })?;
+        let program = self.program.as_ref().map_err(BackendError::clone)?;
+        let mut sim = NetlistSim::from_program(Arc::clone(program), mode);
 
         let mut trace = Trace::new();
         let mut taint_log = TaintLog::new();

@@ -28,6 +28,7 @@
 use dejavuzz_ift::{Census, IftMode, SinkReport, TaintLog};
 use dejavuzz_isa::asm::Program;
 use dejavuzz_persist::{intern, DecodeError, Decoder, Encoder, Persist};
+use dejavuzz_rtl::ir::NetlistError;
 use dejavuzz_swapmem::{PacketKind, SecretPolicy, SwapPacket};
 use dejavuzz_uarch::core::TimingEvent;
 use dejavuzz_uarch::trace::{RobEvent, Trace};
@@ -39,8 +40,10 @@ use crate::gen::TransientPlan;
 /// envelope's own version byte, which guards the *framing*). Bump on any
 /// change to the message encodings below — v2: [`crate::gen::
 /// WindowType`] gained the variable-length scenario encoding, which
-/// rides in every [`TransientPlan`] crossing the pipe.
-pub const PROTO_VERSION: u32 = 2;
+/// rides in every [`TransientPlan`] crossing the pipe; v3:
+/// [`BackendError::InvalidNetlist`] carries a [`NetlistError`] (cell,
+/// memory or output) instead of a bare cell index.
+pub const PROTO_VERSION: u32 = 3;
 
 /// The handshake request: who the embedder is and what it wants served.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -481,9 +484,15 @@ fn decode_outcome(dec: &mut Decoder<'_>) -> Result<RunOutcome, DecodeError> {
 
 fn encode_backend_error(enc: &mut Encoder, e: &BackendError) {
     match e {
-        BackendError::InvalidNetlist { cell } => {
+        BackendError::InvalidNetlist(fault) => {
             enc.u8(0);
-            enc.usize(*cell);
+            let (kind, index) = match *fault {
+                NetlistError::Cell(i) => (0, i),
+                NetlistError::Mem(m) => (1, m),
+                NetlistError::Output(o) => (2, o),
+            };
+            enc.u8(kind);
+            enc.usize(index);
         }
         BackendError::NoSuchInput {
             role,
@@ -504,7 +513,17 @@ fn encode_backend_error(enc: &mut Encoder, e: &BackendError) {
 
 fn decode_backend_error(dec: &mut Decoder<'_>) -> Result<BackendError, DecodeError> {
     Ok(match dec.u8()? {
-        0 => BackendError::InvalidNetlist { cell: dec.usize()? },
+        0 => BackendError::InvalidNetlist(match dec.u8()? {
+            0 => NetlistError::Cell(dec.usize()?),
+            1 => NetlistError::Mem(dec.usize()?),
+            2 => NetlistError::Output(dec.usize()?),
+            tag => {
+                return Err(DecodeError::InvalidTag {
+                    what: "NetlistError",
+                    tag: tag as u32,
+                })
+            }
+        }),
         1 => BackendError::NoSuchInput {
             role: intern(&dec.string()?),
             index: dec.usize()?,
@@ -706,7 +725,9 @@ mod tests {
     #[test]
     fn run_response_round_trips_every_error() {
         for err in [
-            BackendError::InvalidNetlist { cell: 7 },
+            BackendError::InvalidNetlist(NetlistError::Cell(7)),
+            BackendError::InvalidNetlist(NetlistError::Mem(2)),
+            BackendError::InvalidNetlist(NetlistError::Output(0)),
             BackendError::NoSuchInput {
                 role: "trigger",
                 index: 9,

@@ -198,14 +198,12 @@ impl NetlistBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if SSA validation fails (a builder bug, since the API enforces
-    /// ordering) — the panic message names the offending cell.
+    /// Panics if [`Netlist::validate`] fails (a builder bug for cells,
+    /// since the API enforces ordering; a caller bug for a connection to a
+    /// signal that does not exist) — the message names the fault.
     pub fn finish(self) -> Netlist {
-        if let Err(i) = self.netlist.validate() {
-            panic!(
-                "netlist validation failed at cell {i}: {:?}",
-                self.netlist.cells[i].kind
-            );
+        if let Err(e) = self.netlist.validate() {
+            panic!("netlist validation failed: {e}");
         }
         self.netlist
     }

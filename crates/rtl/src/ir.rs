@@ -6,6 +6,8 @@
 //! discipline). Every signal is one 64-bit word — word-level cells are
 //! exactly what the paper's RTL-IR instrumentation operates on.
 
+use std::fmt;
+
 /// Index of a signal (one cell output) within a netlist.
 pub type SignalId = usize;
 
@@ -126,7 +128,7 @@ impl Netlist {
         self.cells
             .iter()
             .filter_map(|c| match c.kind {
-                CellKind::Input(i) => Some(i + 1),
+                CellKind::Input(i) => Some(i.saturating_add(1)),
                 _ => None,
             })
             .max()
@@ -141,17 +143,27 @@ impl Netlist {
             .map(|&(_, s)| s)
     }
 
-    /// Validates SSA discipline: combinational cells may only reference
-    /// earlier signals or register outputs; register/memory connections may
-    /// reference any signal.
+    /// Resolves every reference in the netlist, returning the first one
+    /// that does not resolve:
     ///
-    /// Returns the offending cell index on failure.
-    pub fn validate(&self) -> Result<(), usize> {
-        let is_reg = |s: SignalId| matches!(self.cells[s].kind, CellKind::Reg { .. });
+    /// * a combinational cell may only read earlier signals or register
+    ///   outputs, and a memory read port only a memory with words;
+    /// * an input index must fit the 32-bit port space;
+    /// * register `d`/`en` connections, memory write ports, liveness
+    ///   signals and outputs may name any signal, but it must exist, and a
+    ///   memory with a write port must have words.
+    ///
+    /// The simulator relies on this: a netlist that validates cannot make
+    /// it index out of range.
+    pub fn validate(&self) -> Result<(), NetlistError> {
+        let n = self.cells.len();
+        let is_reg = |s: SignalId| matches!(self.cells.get(s), Some(c) if c.kind.is_sequential());
         let ok = |i: usize, s: SignalId| s < i || is_reg(s);
         for (i, c) in self.cells.iter().enumerate() {
             let valid = match c.kind {
-                CellKind::Const(_) | CellKind::Input(_) | CellKind::Reg { .. } => true,
+                CellKind::Const(_) => true,
+                CellKind::Input(idx) => u32::try_from(idx).is_ok(),
+                CellKind::Reg { d, en, .. } => d.is_none_or(|s| s < n) && en.is_none_or(|s| s < n),
                 CellKind::Not(a) => ok(i, a),
                 CellKind::And(a, b)
                 | CellKind::Or(a, b)
@@ -165,15 +177,56 @@ impl Netlist {
                     then_v,
                     else_v,
                 } => ok(i, sel) && ok(i, then_v) && ok(i, else_v),
-                CellKind::MemRead { mem, addr } => mem.0 < self.mems.len() && ok(i, addr),
+                CellKind::MemRead { mem, addr } => {
+                    self.mems.get(mem.0).is_some_and(|m| m.words > 0) && ok(i, addr)
+                }
             };
             if !valid {
-                return Err(i);
+                return Err(NetlistError::Cell(i));
             }
+        }
+        for (mi, m) in self.mems.iter().enumerate() {
+            let port_ok = m
+                .write_port
+                .is_none_or(|(wen, addr, data)| m.words > 0 && wen < n && addr < n && data < n);
+            if !port_ok || m.liveness.iter().any(|&s| s >= n) {
+                return Err(NetlistError::Mem(mi));
+            }
+        }
+        if let Some(o) = self.outputs.iter().position(|&(_, s)| s >= n) {
+            return Err(NetlistError::Output(o));
         }
         Ok(())
     }
 }
+
+/// The first reference a netlist fails to resolve (see
+/// [`Netlist::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NetlistError {
+    /// Cell *i* reads a missing signal, a later combinational signal or a
+    /// missing or empty memory, drives an input port past `u32::MAX`, or
+    /// (a register) connects `d`/`en` to a missing signal.
+    Cell(usize),
+    /// Memory *m*'s write port or liveness mask names a missing signal, or
+    /// it has a write port but no words.
+    Mem(usize),
+    /// Output *o* (its position in [`Netlist::outputs`]) names a missing
+    /// signal.
+    Output(usize),
+}
+
+impl fmt::Display for NetlistError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetlistError::Cell(i) => write!(f, "cell {i} has an unresolvable reference"),
+            NetlistError::Mem(m) => write!(f, "memory {m} has an unresolvable port"),
+            NetlistError::Output(o) => write!(f, "output {o} names a missing signal"),
+        }
+    }
+}
+
+impl std::error::Error for NetlistError {}
 
 #[cfg(test)]
 mod tests {
@@ -242,7 +295,7 @@ mod tests {
             mems: vec![],
             outputs: vec![],
         };
-        assert_eq!(n.validate(), Err(0));
+        assert_eq!(n.validate(), Err(NetlistError::Cell(0)));
     }
 
     #[test]
@@ -258,6 +311,6 @@ mod tests {
             mems: vec![],
             outputs: vec![],
         };
-        assert_eq!(n.validate(), Err(1));
+        assert_eq!(n.validate(), Err(NetlistError::Cell(1)));
     }
 }

@@ -16,7 +16,9 @@
 //!   blow-up the paper measures,
 //! * [`sim`] — a two-phase cycle simulator over (instrumented) netlists
 //!   whose signals carry [`dejavuzz_ift::TWord`] two-plane values, making
-//!   the same simulator serve as the paper's differential testbench,
+//!   the same simulator serve as the paper's differential testbench; a
+//!   netlist is compiled once into a shared [`SimProgram`] and each run is
+//!   a state-only [`NetlistSim`] over it,
 //! * [`examples`] — the Figure 2 RoB-entry circuit and synthetic
 //!   BOOM/XiangShan-scale netlists for the Table 4 compile-time rows.
 
@@ -29,5 +31,5 @@ pub mod sim;
 
 pub use builder::NetlistBuilder;
 pub use instrument::{instrument, InstrumentReport};
-pub use ir::{CellKind, MemId, Netlist, SignalId};
-pub use sim::NetlistSim;
+pub use ir::{CellKind, MemId, Netlist, NetlistError, SignalId};
+pub use sim::{NetlistSim, SimProgram};

@@ -7,17 +7,19 @@
 //!   taint split (unit-tested in `crates/rtl/src/examples.rs` against the
 //!   raw circuit) through the *full `phase2` path*, and complete
 //!   campaigns end-to-end with nonzero taint coverage,
-//! * a misconfigured backend must fail its runs, not the campaign.
+//! * a misconfigured backend or a netlist with dangling references must
+//!   fail its runs, not the campaign.
 
-use dejavuzz::backend::{BackendSpec, NetlistBackend, NetlistIo};
+use dejavuzz::backend::{BackendError, BackendSpec, NetlistBackend, NetlistIo, SimBackend};
 use dejavuzz::builder::CampaignBuilder;
 use dejavuzz::campaign::FuzzerOptions;
 use dejavuzz::executor;
-use dejavuzz::gen::WindowType;
+use dejavuzz::gen::{self, WindowFill, WindowType};
 use dejavuzz::phases::{phase1, phase2, PhaseOptions};
 use dejavuzz::Seed;
 use dejavuzz_ift::{CoverageMatrix, IftMode};
 use dejavuzz_rtl::examples::{synthetic_core, SMALL_SCALE};
+use dejavuzz_rtl::{CellKind, NetlistError};
 use dejavuzz_uarch::boom_small;
 
 /// (a) The explicit behavioural spec and the historical
@@ -152,6 +154,54 @@ fn misconfigured_backend_fails_runs_not_the_campaign() {
     assert_eq!(stats.failed_runs, 6, "every run failed cleanly");
     assert!(stats.bugs.is_empty());
     assert_eq!(stats.coverage(), 0);
+}
+
+/// A netlist with a reference that does not resolve fails every run with
+/// `InvalidNetlist` naming the fault — whether a combinational operand,
+/// a register connection or a memory write port dangles — instead of
+/// panicking in validation or at the first clock edge.
+#[test]
+fn hostile_netlists_fail_runs_instead_of_panicking() {
+    let seed = Seed::new(WindowType::MemPageFault, 1);
+    let plan = gen::plan(&seed);
+    let schedule = vec![gen::build_transient(&plan, &WindowFill::Dummy)];
+    let good = synthetic_core(SMALL_SCALE);
+    let len = good.cell_count();
+    let comb = (0..len)
+        .find(|&i| matches!(good.cells[i].kind, CellKind::And(..)))
+        .unwrap();
+    let reg = (0..len)
+        .find(|&i| good.cells[i].kind.is_sequential())
+        .unwrap();
+
+    let mut dangling_operand = good.clone();
+    dangling_operand.cells[comb].kind = CellKind::And(0, len + 5);
+    let mut dangling_register = good.clone();
+    dangling_register.cells[reg].kind = CellKind::Reg {
+        d: Some(len),
+        en: None,
+        init: 0,
+    };
+    let mut dangling_write_port = good.clone();
+    dangling_write_port.mems[0].write_port = Some((len, 0, 0));
+
+    for (netlist, fault) in [
+        (dangling_operand, NetlistError::Cell(comb)),
+        (dangling_register, NetlistError::Cell(reg)),
+        (dangling_write_port, NetlistError::Mem(0)),
+    ] {
+        let io = NetlistIo {
+            data: 4,
+            control: 2,
+            index: 3,
+            aux: vec![0, 1],
+        };
+        let mut backend = NetlistBackend::new("hostile", netlist, io);
+        for mode in IftMode::ALL {
+            let err = backend.run(&plan, &schedule, mode, 256).unwrap_err();
+            assert_eq!(err, BackendError::InvalidNetlist(fault));
+        }
+    }
 }
 
 /// Capability flags of the in-tree backends.
