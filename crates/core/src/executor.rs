@@ -25,21 +25,20 @@
 //! 2. Each worker folds the broadcast delta into its local *view* of the
 //!    global coverage, then runs the three-phase pipeline for its slots.
 //!    Every observation fans out through [`RecordingCoverage`]: into the
-//!    worker's private `observed` matrix (for the exactness invariant)
-//!    and — when fresh against the view — into the outcome's recorded
-//!    delta and the live [`SharedCoverage`] union (concurrent,
-//!    lock-striped, exact). Mutation-gain feedback reads only the view,
-//!    so worker decisions never race on shared state. The *canonical*
-//!    union is the orchestrator's deterministic replay below; the shared
-//!    union is the live, lock-free-readable view of the same set and a
-//!    runtime cross-check that the two accounting paths agree.
+//!    slot's `observed` point set (per-worker accounting) and — when
+//!    fresh against the view — into the outcome's recorded delta.
+//!    Mutation-gain feedback reads only the view, so worker decisions
+//!    never race on shared state.
 //! 3. A batch worker replies once per batch — outcomes plus its
 //!    post-batch RNG stream position, so the orchestrator mirrors every
 //!    worker's full stream state; a stealing worker streams each outcome
 //!    the moment it finishes. The orchestrator buffers outcomes by slot
 //!    and commits the contiguous prefix in global slot order: stats, the
 //!    per-iteration exact coverage curve, bug dedup, gain-threshold
-//!    samples and corpus retention all replay deterministically.
+//!    samples and corpus retention all replay deterministically. The
+//!    recorded deltas, replayed in that order, build the campaign's one
+//!    coverage union; each slot's `observed` set folds into its stream's
+//!    per-worker matrix.
 //!
 //! One loop, [`Orchestrator::run_observed`], runs every configuration:
 //! it keeps one round in flight with pipelining off (a barrier per
@@ -48,7 +47,7 @@
 //!
 //! The consequence is the property the old end-of-run merge could not
 //! offer: a campaign is **deterministic for a fixed worker count**
-//! (thread timing only changes who commits a shared point first, which
+//! (thread timing only changes which thread runs a stolen slot, which
 //! nothing reads back), and its final coverage is the **exact union** of
 //! what the workers observed — never the pointwise sum the old
 //! `CampaignStats::merge` approximated.
@@ -101,7 +100,7 @@ use rand::{Rng, SeedableRng};
 
 use dejavuzz_ift::{
     CoverageLog, CoverageMatrix, CoveragePoint, CoverageView, IftMode, OverlayCoverage,
-    RecordingCoverage, SharedCoverage,
+    RecordingCoverage,
 };
 
 use crate::backend::{BackendSpec, SimBackend};
@@ -176,10 +175,11 @@ pub(crate) struct IterationOutcome {
     pub final_gain: usize,
     /// Points fresh against the worker's view, in observation order.
     pub fresh_points: Vec<CoveragePoint>,
-    /// Points fresh against the worker's lifetime `observed` matrix: the
-    /// delta the orchestrator replays into its per-worker mirror (which
-    /// is what snapshots persist).
-    pub observed_fresh: Vec<CoveragePoint>,
+    /// Every distinct point this slot observed, folded into the mirror of
+    /// `stream` (which is what snapshots persist). Keyed by the logical
+    /// stream, never by the physical thread, whose attribution is
+    /// timing-dependent under work stealing.
+    pub observed: CoverageMatrix,
     pub bugs: Vec<crate::report::BugReport>,
     /// A backend failure that aborted this iteration
     /// ([`crate::backend::BackendError`], stringified for the channel).
@@ -245,12 +245,9 @@ fn run_iteration<V: CoverageView>(
     scenarios: &[u16],
     rng: &mut StdRng,
     view: &mut V,
-    observed: &mut CoverageMatrix,
-    shared: &SharedCoverage,
     gain: &mut GainAverage,
 ) -> IterationOutcome {
-    // A scheduled seed is borrowed for as long as it stays unmutated, so
-    // the per-slot clone that used to sit in this hot path is gone: the
+    // A scheduled seed is borrowed for as long as it stays unmutated: the
     // outcome takes ownership exactly once, at whichever return point it
     // leaves through.
     let mut seed: Cow<'_, Seed> = match scheduled {
@@ -277,7 +274,7 @@ fn run_iteration<V: CoverageView>(
         gains: Vec::new(),
         final_gain: 0,
         fresh_points: Vec::new(),
-        observed_fresh: Vec::new(),
+        observed: CoverageMatrix::new(),
         bugs: Vec::new(),
         error: None,
     };
@@ -306,9 +303,7 @@ fn run_iteration<V: CoverageView>(
         let mut sink = RecordingCoverage {
             view: &mut *view,
             recorded: &mut out.fresh_points,
-            observed: &mut *observed,
-            observed_recorded: &mut out.observed_fresh,
-            shared,
+            observed: &mut out.observed,
         };
         let p2 = match phase2(backend, &seed, &p1, &mut sink, &opts.phases) {
             Ok(p2) => p2,
@@ -405,9 +400,7 @@ fn commit_outcome(
         metrics.scenario_slots_total.inc();
     }
     s.worker_iterations[o.stream] += 1;
-    for p in &o.observed_fresh {
-        s.worker_observed[o.stream].insert(*p);
-    }
+    s.worker_observed[o.stream].merge(&o.observed);
     let bugs_before = s.stats.bugs.len();
     fold_outcome(&mut s.stats, &o);
     for g in &o.gains {
@@ -535,8 +528,6 @@ struct Worker {
     opts: FuzzerOptions,
     rng: StdRng,
     view: CoverageMatrix,
-    observed: CoverageMatrix,
-    shared: Arc<SharedCoverage>,
     /// Active scenario-instance indices for fresh-seed draws (sorted by
     /// canonical spec; empty without `--scenarios`).
     scenarios: Vec<u16>,
@@ -587,8 +578,6 @@ impl Worker {
                 &self.scenarios,
                 &mut self.rng,
                 &mut self.view,
-                &mut self.observed,
-                &self.shared,
                 &mut gain,
             );
             out.stream = self.id;
@@ -609,10 +598,9 @@ impl Worker {
     /// worker or another — is doing (see the `scheduler` module docs for
     /// the determinism argument).
     ///
-    /// The per-slot view used to be a full `CoverageMatrix` clone — an
-    /// O(coverage-space) setup cost per slot. The round-start view is now
-    /// frozen once into an `Arc` base and each slot gets an
-    /// [`OverlayCoverage`] over it, costing O(points that slot finds).
+    /// The round-start view is frozen once into an `Arc` base and each
+    /// slot gets an [`OverlayCoverage`] over it, costing O(points that
+    /// slot finds) where a per-slot clone would cost O(coverage space).
     /// The freeze is free: `mem::take` out, `Arc::try_unwrap` back in
     /// (no slot view outlives the loop).
     ///
@@ -636,12 +624,6 @@ impl Worker {
             let setup = Instant::now();
             let mut slot_view = OverlayCoverage::new(Arc::clone(&base));
             let view_setup_nanos = setup.elapsed().as_nanos() as u64;
-            // A fresh per-slot observed matrix: `observed_fresh` then
-            // carries the slot's full distinct point set, which the
-            // orchestrator replays into the *logical* stream's mirror
-            // (physical claim attribution is timing-dependent and must
-            // not leak into any persisted or reported state).
-            let mut slot_observed = CoverageMatrix::new();
             let mut slot_gain = gain;
             let start = Instant::now();
             let mut out = run_iteration(
@@ -652,8 +634,6 @@ impl Worker {
                 &self.scenarios,
                 &mut self.rng, // never drawn from: the seed is pre-drawn
                 &mut slot_view,
-                &mut slot_observed,
-                &self.shared,
                 &mut slot_gain,
             );
             out.stream = item.stream;
@@ -679,10 +659,6 @@ pub struct ExecutorReport {
     pub stats: CampaignStats,
     /// The final global coverage (union of all observations).
     pub coverage: CoverageMatrix,
-    /// Final point count of the concurrent [`SharedCoverage`] — always
-    /// equal to `coverage.points()`; reported separately so tests can
-    /// assert the two accounting paths agree.
-    pub shared_points: usize,
     /// Per-worker accounting.
     pub workers: Vec<WorkerSummary>,
     /// Seeds the corpus retained over the run.
@@ -1121,8 +1097,7 @@ impl Orchestrator {
     /// One gossip exchange at a round boundary: publish this shard's
     /// coverage delta (filtered of points that themselves arrived from
     /// peers) plus its top-energy corpus entries, then import every
-    /// queued peer frame — points into the global union (and the live
-    /// shared union, so the cross-check invariant holds), seeds into the
+    /// queued peer frame — points into the global union, seeds into the
     /// corpus — firing one [`PeerDeltaImported`] per frame and one
     /// [`SeedImported`] per accepted seed. Every cross-shard import is
     /// therefore an explicit, logged observer event at a deterministic
@@ -1131,7 +1106,6 @@ impl Orchestrator {
     fn gossip_exchange(
         &self,
         s: &mut Session,
-        shared: &SharedCoverage,
         gst: &mut GossipState,
         feedback: bool,
         observers: &mut [Box<dyn CampaignObserver>],
@@ -1188,7 +1162,6 @@ impl Orchestrator {
             for p in &f.delta {
                 if s.global.insert(*p) {
                     fresh += 1;
-                    shared.observe_point(*p);
                     gst.imported.insert(*p);
                 }
             }
@@ -1282,15 +1255,6 @@ impl Orchestrator {
         let mut resumed_pending = self.resume.as_ref().and_then(|snap| snap.pending.clone());
         let depth = if self.pipeline_lag == 0 { 1 } else { 2 };
 
-        // The live concurrent union starts from the restored global so
-        // the cross-check invariant (shared == canonical) spans resumes.
-        // Write-only from the workers' perspective, so over-seeding it
-        // with points a pending round has not observed yet is harmless.
-        let shared = Arc::new(SharedCoverage::default());
-        for p in s.global.iter() {
-            shared.observe_point(*p);
-        }
-
         // At a round boundary every worker's view equals the global union
         // (see the module docs). With a pending round in flight, views
         // must instead match their state at its dispatch: the union
@@ -1309,7 +1273,7 @@ impl Orchestrator {
             }
             s.global.replay(&p.view_behind);
         }
-        let mut pool = self.spawn_pool(&s, &spawn_view, &shared);
+        let mut pool = self.spawn_pool(&s, &spawn_view);
         let mut gossip_state = GossipState {
             // Replayed points were already published before the halt;
             // start the export cursor past them.
@@ -1379,7 +1343,7 @@ impl Orchestrator {
             round_costs.push(costs);
             rounds += 1;
             if self.gossip_every > 0 && rounds.is_multiple_of(self.gossip_every) {
-                self.gossip_exchange(&mut s, &shared, &mut gossip_state, feedback, observers);
+                self.gossip_exchange(&mut s, &mut gossip_state, feedback, observers);
             }
             if self.snapshot_every > 0 && rounds.is_multiple_of(self.snapshot_every) {
                 let pending = in_flight.front().map(|f| f.to_pending(&s.global));
@@ -1400,10 +1364,6 @@ impl Orchestrator {
         self.write_checkpoint(&s, pending.clone(), false, observers);
         let snapshot = self.snapshot_of(&s, pending);
 
-        debug_assert!(
-            !in_flight.is_empty() || shared.points() == s.global.points(),
-            "both unions must agree once nothing is in flight"
-        );
         let busy_nanos = round_costs.iter().flat_map(|r| &r.slots).map(|s| s.1).sum();
         let makespan_nanos = modelled_makespan(&round_costs, self.workers, depth);
         let workers = (0..self.workers)
@@ -1416,7 +1376,6 @@ impl Orchestrator {
         let report = ExecutorReport {
             stats: s.stats,
             coverage: s.global.into_matrix(),
-            shared_points: shared.points(),
             workers,
             corpus_retained: s.corpus.retained(),
             corpus_evicted: s.corpus.evicted(),
@@ -1438,7 +1397,7 @@ impl Orchestrator {
 
     /// Spawns one worker thread per physical worker, each starting from
     /// `view` and its logical stream's mirrored state.
-    fn spawn_pool(&self, s: &Session, view: &CoverageMatrix, shared: &Arc<SharedCoverage>) -> Pool {
+    fn spawn_pool(&self, s: &Session, view: &CoverageMatrix) -> Pool {
         let (from_tx, from_workers) = mpsc::channel();
         let physical = self.physical_workers();
         let mut to_workers = Vec::with_capacity(physical);
@@ -1460,12 +1419,6 @@ impl Orchestrator {
                     StdRng::seed_from_u64(self.stream_seed(1 + id as u64))
                 },
                 view: view.clone(),
-                observed: if logical {
-                    s.worker_observed[id].clone()
-                } else {
-                    CoverageMatrix::new()
-                },
-                shared: Arc::clone(shared),
                 scenarios: self.scenarios.clone(),
             };
             let from_tx = from_tx.clone();
@@ -1522,7 +1475,6 @@ impl Orchestrator {
                     worker_rngs,
                     workers: self.workers,
                     batch: self.batch,
-                    lag: self.pipeline_lag,
                     scenarios: &self.scenarios,
                 };
                 let plan = scheduler.plan_round(slots.start..slots.start + span, &mut ctx);
@@ -1602,7 +1554,6 @@ mod tests {
         let r = run(boom(), FuzzerOptions::default(), 2, 12, 3);
         assert!(r.stats.coverage_curve.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(r.stats.coverage(), r.coverage.points());
-        assert_eq!(r.coverage.points(), r.shared_points);
     }
 
     #[test]

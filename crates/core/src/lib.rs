@@ -37,10 +37,10 @@
 //!   mutates (energy decay, or AFL-style favoured culling with
 //!   per-window-type quotas),
 //! * [`executor`] — the shared-corpus worker pool: an `Orchestrator`
-//!   schedules round batches over channels to `Worker` threads that share
-//!   one exact concurrent coverage union
-//!   ([`dejavuzz_ift::SharedCoverage`]), one global mutation-gain
-//!   threshold, and deterministic per-worker RNG streams,
+//!   schedules round batches over channels to `Worker` threads and
+//!   commits their results in slot order into one exact coverage union,
+//!   one global mutation-gain threshold, and deterministic per-worker RNG
+//!   streams,
 //! * [`campaign`] — campaign options and results:
 //!   [`campaign::FuzzerOptions`] carries the ablation variants used in the
 //!   evaluation (`DejaVuzz*`: random training, no derivation; `DejaVuzz⁻`:

@@ -80,8 +80,7 @@
 //! minimum that removes the barrier, so deeper requested lags are
 //! satisfied a fortiori and all behave identically). Results remain a
 //! pure function of `(seed, workers, batch, lag)`;
-//! [`Scheduler::supports_pipelining`] gates which schedulers may opt in,
-//! and [`PlanCtx::lag`] tells a plan how stale its feedback may be.
+//! [`Scheduler::supports_pipelining`] gates which schedulers may opt in.
 //!
 //! # Seed policies
 //!
@@ -173,16 +172,6 @@ pub struct PlanCtx<'a> {
     pub workers: usize,
     /// Per-worker batch size.
     pub batch: usize,
-    /// The feedback lag this plan may rely on, in slots: `0` means the
-    /// plan observes state committed through the immediately preceding
-    /// round (barriered rounds); a positive lag means the orchestrator is
-    /// pipelining and the plan observes coverage/corpus/threshold state
-    /// that trails the frontier by up to one round (see the module docs'
-    /// pipelining section). Informational for the built-ins — they draw
-    /// from whatever committed state the context holds — but lag-aware
-    /// extensions may use it to, e.g., widen exploration under stale
-    /// feedback.
-    pub lag: usize,
     /// Active scenario-instance indices (sorted by canonical spec,
     /// deduped). Fresh-seed draws sample uniformly over
     /// `WindowType::ALL` plus these; empty keeps the historical
@@ -783,7 +772,6 @@ mod tests {
             worker_rngs: &mut worker_rngs,
             workers: 2,
             batch: 3,
-            lag: 0,
             scenarios: &[],
         };
         let RoundPlan::Batches(batches) = RoundRobin.plan_round(10..15, &mut ctx) else {
@@ -817,7 +805,6 @@ mod tests {
             worker_rngs: &mut worker_rngs,
             workers: 2,
             batch: 2,
-            lag: 0,
             scenarios: &[],
         };
         let RoundPlan::Queue(queue) = WorkStealing.plan_round(0..4, &mut ctx) else {

@@ -21,7 +21,7 @@
 //! [`merge_snapshots`] is the multi-machine story: shards run
 //! independently with disjoint seeds, snapshot locally, and merge into
 //! one report whose coverage is the **exact union** of per-shard
-//! observations (`SharedCoverage` semantics — never a pointwise sum) and
+//! observations (distinct points, never a pointwise sum) and
 //! whose bug list deduplicates by [`BugReport::dedup_key`].
 
 use std::path::Path;
@@ -754,8 +754,8 @@ pub struct MergeReport {
     /// tightest after-the-fact lower bound — see
     /// [`CampaignStats::merge`]).
     pub stats: CampaignStats,
-    /// The **exact union** of per-shard coverage (`SharedCoverage`
-    /// semantics): distinct points, never a pointwise sum.
+    /// The **exact union** of per-shard coverage: distinct points, never
+    /// a pointwise sum.
     pub coverage: CoverageMatrix,
     /// Sum of per-shard point counts — the figure a naive merge would
     /// have (over-)reported; kept so reports can show the delta.

@@ -27,11 +27,10 @@ pub struct CoveragePoint {
 }
 
 /// Anything that can accumulate taint-coverage observations: the plain
-/// [`CoverageMatrix`], the concurrent [`crate::SharedCoverage`] (through a
-/// shared reference), or composition wrappers like
-/// [`crate::RecordingCoverage`]. Phase 2 of the fuzzing pipeline is generic
-/// over this trait so direct phase calls over a plain matrix and the
-/// executor's workers share one code path.
+/// [`CoverageMatrix`], the two-level [`OverlayCoverage`], or the
+/// executor's [`RecordingCoverage`] fan-out. Phase 2 of the fuzzing
+/// pipeline is generic over this trait so direct phase calls over a plain
+/// matrix and the executor's workers share one code path.
 pub trait TaintCoverage {
     /// Observes one cycle's census; returns the number of *new* points.
     fn observe(&mut self, census: &Census) -> usize;
@@ -55,6 +54,57 @@ pub trait CoverageView {
     fn contains_point(&self, point: &CoveragePoint) -> bool;
 }
 
+/// The coverage sink a pipeline worker threads through Phase 2 of one
+/// slot.
+///
+/// The paper's §5 pipeline runs "multiple RTL simulation instances in
+/// parallel". Summing per-worker point counts would inflate the union
+/// whenever two workers discover the same `(module, tainted-count)`
+/// tuple, so the executor keeps one exact union, written only by its
+/// commit path. One observation fans out two ways:
+///
+/// * `view` — the worker's deterministic view of that union (its
+///   round-start state plus the worker's own in-round observations).
+///   *Freshness against the view* drives mutation-gain feedback, so
+///   worker decisions never race on shared state. View-fresh points are
+///   appended to `recorded`, in observation order, and the orchestrator
+///   replays them into the union in slot order.
+/// * `observed` — every distinct point the slot saw. The orchestrator
+///   folds it into the per-worker accounting that snapshots persist.
+///
+/// The view is generic over [`CoverageView`] so a work-stealing slot can
+/// plug in a cheap [`OverlayCoverage`] (frozen round-start base +
+/// per-slot overlay) where fixed-batch workers keep the plain matrix.
+pub struct RecordingCoverage<'a, V: CoverageView> {
+    /// Worker-local deterministic view.
+    pub view: &'a mut V,
+    /// Fresh-against-view points, in observation order.
+    pub recorded: &'a mut Vec<CoveragePoint>,
+    /// Every point observed.
+    pub observed: &'a mut CoverageMatrix,
+}
+
+impl<V: CoverageView> TaintCoverage for RecordingCoverage<'_, V> {
+    fn observe(&mut self, census: &Census) -> usize {
+        let mut fresh = 0;
+        for m in census.modules() {
+            if m.tainted == 0 {
+                continue;
+            }
+            let p = CoveragePoint {
+                module: m.module,
+                index: m.tainted,
+            };
+            self.observed.insert(p);
+            if self.view.insert_point(p) {
+                self.recorded.push(p);
+                fresh += 1;
+            }
+        }
+        fresh
+    }
+}
+
 /// The accumulated taint coverage of a fuzzing campaign.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoverageMatrix {
@@ -69,7 +119,7 @@ impl CoverageMatrix {
 
     /// Inserts one point directly; true if it was new. This is the primitive
     /// the pipeline's coverage wrappers build on when they route points
-    /// between a worker-local view and the shared union.
+    /// between a worker-local view and the campaign union.
     pub fn insert(&mut self, point: CoveragePoint) -> bool {
         self.points.insert(point)
     }
@@ -288,24 +338,14 @@ impl CoverageLog {
     }
 }
 
-impl CoverageView for CoverageLog {
-    fn insert_point(&mut self, point: CoveragePoint) -> bool {
-        self.insert(point)
-    }
-
-    fn contains_point(&self, point: &CoveragePoint) -> bool {
-        CoverageLog::contains_point(self, point)
-    }
-}
-
 /// A two-level coverage view: a frozen, `Arc`-shared round-start base plus
 /// a small private overlay holding only the points this slot discovered.
 ///
-/// Work-stealing slots used to clone the worker's entire `CoverageMatrix`
-/// per slot, an O(coverage-space) setup cost that dominates once coverage
-/// reaches netlist scale. An overlay costs O(points found this slot):
-/// lookups consult the shared base first, inserts land in the overlay only
-/// when the base does not already hold the point.
+/// Cloning the worker's whole `CoverageMatrix` per work-stealing slot
+/// would cost O(coverage space), which dominates once coverage reaches
+/// netlist scale. An overlay costs O(points found this slot): lookups
+/// consult the shared base first, inserts land in the overlay only when
+/// the base does not already hold the point.
 #[derive(Clone, Debug)]
 pub struct OverlayCoverage {
     base: Arc<CoverageMatrix>,
@@ -536,6 +576,24 @@ mod tests {
         let mut log = CoverageLog::new();
         log.insert(pt("rob", 3));
         assert!(log.delta_since(99).is_empty());
+    }
+
+    #[test]
+    fn recording_coverage_fans_out() {
+        let mut view = CoverageMatrix::new();
+        // Pre-populate the view as if another worker had found rob/3.
+        view.insert(pt("rob", 3));
+        let mut observed = CoverageMatrix::new();
+        let mut recorded = Vec::new();
+        let mut rec = RecordingCoverage {
+            view: &mut view,
+            recorded: &mut recorded,
+            observed: &mut observed,
+        };
+        let fresh = rec.observe(&census(&[("rob", 3), ("lsu", 1)]));
+        assert_eq!(fresh, 1, "rob/3 was already in the view");
+        assert_eq!(recorded, vec![pt("lsu", 1)]);
+        assert_eq!(observed.points(), 2, "observed tracks everything seen");
     }
 
     #[test]

@@ -58,15 +58,14 @@ pub mod liveness;
 pub mod mem;
 pub mod persist;
 pub mod policy;
-pub mod shared;
 pub mod tword;
 
 pub use census::{Census, ModuleCensus, TaintLog};
 pub use coverage::{
-    CoverageLog, CoverageMatrix, CoveragePoint, CoverageView, OverlayCoverage, TaintCoverage,
+    CoverageLog, CoverageMatrix, CoveragePoint, CoverageView, OverlayCoverage, RecordingCoverage,
+    TaintCoverage,
 };
 pub use liveness::{LivenessMask, SinkReport};
 pub use mem::TMem;
 pub use policy::{IftMode, Policy};
-pub use shared::{RecordingCoverage, SharedCoverage};
 pub use tword::TWord;

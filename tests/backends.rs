@@ -115,7 +115,6 @@ fn netlist_backend_campaign_end_to_end() {
         a.coverage.points(),
         "curve tail equals the exact union"
     );
-    assert_eq!(a.coverage.points(), a.shared_points, "both unions agree");
     assert!(
         a.stats.windows.values().any(|w| w.triggered > 0),
         "windows trigger on the netlist backend"

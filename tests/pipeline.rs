@@ -3,8 +3,10 @@
 //! is specified against.
 
 use dejavuzz::backend::BackendSpec;
+use dejavuzz::builder::CampaignBuilder;
 use dejavuzz::campaign::FuzzerOptions;
 use dejavuzz::executor;
+use dejavuzz::scheduler::SchedulerSpec;
 use dejavuzz_ift::CoverageMatrix;
 use dejavuzz_uarch::boom_small;
 
@@ -36,35 +38,61 @@ fn executor_is_deterministic_per_seed_and_worker_count() {
 
 /// The parallel final coverage is the *exact union* of what the workers
 /// observed — never the inflated pointwise sum the old end-of-run merge
-/// approximated.
+/// approximated — in every plan shape: fixed round-robin batches,
+/// pipelined work stealing, and a round-robin run carried across a
+/// halt/resume boundary.
 #[test]
 fn parallel_coverage_is_exact_union_of_worker_observations() {
-    let report = executor::run(boom(), FuzzerOptions::default(), 3, 24, 42);
+    const TOTAL: usize = 24;
+    let campaign = || CampaignBuilder::new().backend(boom()).workers(3).seed(42);
+    let (_, halted) = campaign()
+        .halt_after(5)
+        .build()
+        .unwrap()
+        .run_snapshotting(TOTAL);
+    assert!(halted.completed < TOTAL, "the halt must interrupt the run");
+    let configurations = [
+        ("round robin", campaign().build().unwrap().run(TOTAL)),
+        (
+            "work stealing, lag 1",
+            campaign()
+                .scheduler(SchedulerSpec::WorkStealing)
+                .batch(4)
+                .pipeline_lag(1)
+                .build()
+                .unwrap()
+                .run(TOTAL),
+        ),
+        (
+            "round robin, halted at 5 and resumed",
+            campaign().resume(halted).build().unwrap().run(TOTAL),
+        ),
+    ];
+    for (label, report) in configurations {
+        let mut union = CoverageMatrix::new();
+        let mut inflated_sum = 0;
+        for w in &report.workers {
+            union.merge(&w.observed);
+            inflated_sum += w.observed.points();
+        }
 
-    let mut union = CoverageMatrix::new();
-    let mut inflated_sum = 0;
-    for w in &report.workers {
-        union.merge(&w.observed);
-        inflated_sum += w.observed.points();
+        assert_eq!(
+            report.coverage.sorted_points(),
+            union.sorted_points(),
+            "{label}: final coverage == union of per-worker observations"
+        );
+        assert_eq!(
+            report.stats.coverage(),
+            report.coverage.points(),
+            "{label}: curve tail agrees"
+        );
+        assert!(
+            inflated_sum > union.points(),
+            "{label}: workers overlap ({inflated_sum} summed vs {} distinct), so a \
+             pointwise sum would have over-reported",
+            union.points()
+        );
     }
-
-    assert_eq!(
-        report.coverage.sorted_points(),
-        union.sorted_points(),
-        "final coverage == union of per-worker observations"
-    );
-    assert_eq!(
-        report.shared_points,
-        union.points(),
-        "concurrent union agrees"
-    );
-    assert_eq!(report.stats.coverage(), union.points(), "curve tail agrees");
-    assert!(
-        inflated_sum > union.points(),
-        "workers overlap ({inflated_sum} summed vs {} distinct), so a pointwise \
-         sum would have over-reported",
-        union.points()
-    );
 }
 
 /// More workers on the same total budget keep finding the bugs the
