@@ -10,8 +10,8 @@
 //! * [`BehaviouralBackend`] wraps the out-of-order core models,
 //!   bit-for-bit identical to the old direct call (the pipeline
 //!   determinism tests of `tests/pipeline.rs` hold unchanged);
-//! * [`NetlistBackend`] drives the DIFT-instrumented netlist interpreter
-//!   [`dejavuzz_rtl::sim::NetlistSim`] over the `synthetic_core` scales
+//! * [`NetlistBackend`] drives DIFT-instrumented netlists on the compiled
+//!   kernel [`dejavuzz_rtl::sim::NetlistSim`] over the `synthetic_core` scales
 //!   (or any custom netlist, e.g. the Figure 2 RoB-entry circuit),
 //!   mapping [`SwapPacket`] stimulus onto netlist input ports and the
 //!   per-cycle [`dejavuzz_ift::Census`] / final
@@ -19,7 +19,11 @@
 //!   [`dejavuzz_ift::TaintCoverage`] machinery.
 //!
 //! Both lower their observations into the backend-neutral [`RunOutcome`],
-//! which is all `phases::{phase1, phase2, phase3}` consume. Backends are
+//! which is all `phases::{phase1, phase2, phase3}` consume. The phases
+//! ask through [`SimBackend::run_demand`] for only the fields they read
+//! ([`RunDemand`]); the netlist backend uses that to skip simulation a
+//! caller would not read, and resumes runs that share a prefix from a
+//! window-entry checkpoint (see [`NetlistBackend`]). Backends are
 //! selected by a cloneable [`BackendSpec`] so the executor can build one
 //! simulator instance per worker thread; a misconfigured backend returns
 //! a [`BackendError`] from [`SimBackend::run`], which fails that *run*
@@ -38,7 +42,7 @@ use dejavuzz_rtl::examples::{
     rob_entry_circuit, synthetic_core, CoreScale, BOOM_SCALE, SMALL_SCALE, XIANGSHAN_SCALE,
 };
 use dejavuzz_rtl::ir::{Netlist, NetlistError};
-use dejavuzz_rtl::sim::{NetlistSim, SimProgram};
+use dejavuzz_rtl::sim::{NetlistSim, SimProgram, SimState};
 use dejavuzz_swapmem::{PacketKind, SwapPacket};
 use dejavuzz_uarch::core::{Core, RunResult, TimingEvent};
 use dejavuzz_uarch::trace::{RobEvent, Trace, WindowInfo};
@@ -106,6 +110,10 @@ impl std::error::Error for BackendError {}
 /// field move, keeping the old direct-call path bit-for-bit identical);
 /// the netlist backend synthesises the trace from its stimulus protocol
 /// and takes the taint log / sink sweep straight off the netlist state.
+///
+/// A run made through [`SimBackend::run_demand`] fills at least the
+/// fields its [`RunDemand`] names, plus `total_cycles` and `packets_run`
+/// always; a field it did not demand may be left empty.
 #[derive(Clone, Debug, Default)]
 pub struct RunOutcome {
     /// RoB IO trace (window detection, Phase 1 trigger evaluation).
@@ -121,6 +129,42 @@ pub struct RunOutcome {
     pub total_cycles: (u64, u64),
     /// Number of packets that ran.
     pub packets_run: usize,
+}
+
+/// Which [`RunOutcome`] fields a caller of [`SimBackend::run_demand`] will
+/// read, so a backend can skip the work behind the others.
+///
+/// `total_cycles` and `packets_run` are always filled, and
+/// `timing_events` travels with the trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunDemand {
+    /// The RoB IO trace (and the timing events).
+    pub trace: bool,
+    /// The per-cycle taint census.
+    pub taint_log: bool,
+    /// The final tainted-sink sweep.
+    pub sinks: bool,
+}
+
+impl RunDemand {
+    /// Every field: what [`SimBackend::run`] returns.
+    pub const ALL: RunDemand = RunDemand {
+        trace: true,
+        taint_log: true,
+        sinks: true,
+    };
+    /// The trace only (Phase 1's trigger check).
+    pub const TRACE: RunDemand = RunDemand {
+        trace: true,
+        taint_log: false,
+        sinks: false,
+    };
+    /// The sinks only (Phase 3's sanitised re-run).
+    pub const SINKS: RunDemand = RunDemand {
+        trace: false,
+        taint_log: false,
+        sinks: true,
+    };
 }
 
 impl RunOutcome {
@@ -165,6 +209,13 @@ impl From<RunResult> for RunOutcome {
 
 /// A simulation backend the phase pipeline can drive.
 ///
+/// A backend implements [`SimBackend::run`], which returns every
+/// [`RunOutcome`] field. The phases call [`SimBackend::run_demand`]
+/// instead, naming the fields they will read; its default forwards to
+/// `run`, so a backend that cannot skip work needs nothing more. Each
+/// call counts as one simulation requested, whether or not the backend
+/// simulated every cycle of it.
+///
 /// `Send` because the executor builds one backend per worker thread;
 /// `Debug` so campaign types holding a boxed backend stay debuggable.
 pub trait SimBackend: Send + fmt::Debug {
@@ -180,7 +231,8 @@ pub trait SimBackend: Send + fmt::Debug {
     /// not).
     fn supports_taint(&self) -> bool;
 
-    /// Simulates one schedule under `mode` with a `max_cycles` budget.
+    /// Simulates one schedule under `mode` with a `max_cycles` budget and
+    /// returns every [`RunOutcome`] field.
     fn run(
         &mut self,
         plan: &TransientPlan,
@@ -188,6 +240,21 @@ pub trait SimBackend: Send + fmt::Debug {
         mode: IftMode,
         max_cycles: u64,
     ) -> Result<RunOutcome, BackendError>;
+
+    /// [`SimBackend::run`] for a caller that reads only the fields in
+    /// `demand`. The demanded fields equal `run`'s; the others may be
+    /// left empty.
+    fn run_demand(
+        &mut self,
+        plan: &TransientPlan,
+        schedule: &[SwapPacket],
+        mode: IftMode,
+        max_cycles: u64,
+        demand: RunDemand,
+    ) -> Result<RunOutcome, BackendError> {
+        let _ = demand;
+        self.run(plan, schedule, mode, max_cycles)
+    }
 }
 
 /// The behavioural backend: the out-of-order core models of
@@ -230,6 +297,8 @@ impl SimBackend for BehaviouralBackend {
         mode: IftMode,
         max_cycles: u64,
     ) -> Result<RunOutcome, BackendError> {
+        // The core computes every field in one pass, so this backend keeps
+        // the default `run_demand`, which returns them all.
         let mut mem = build_mem(plan, schedule, &DEFAULT_SECRET);
         Ok(Core::new(self.cfg, mode).run(&mut mem, max_cycles).into())
     }
@@ -307,6 +376,22 @@ fn mix(word: u32, salt: u64) -> u64 {
 /// netlist simulator has no two-plane timing model, so `total_cycles` is
 /// equal per plane and `timing_events` stays empty (no Phase 3 timing
 /// violations — leakage on this backend is found through encoded sinks).
+///
+/// # Demand and window-entry checkpoints
+///
+/// The trace, the cycle count and the packet count come from the schedule
+/// alone. [`SimBackend::run_demand`] therefore creates no [`NetlistSim`]
+/// unless the sinks or a (non-Base) taint log are demanded, and takes no
+/// per-cycle census unless the taint log is.
+///
+/// A simulated run saves its state when it reaches the first in-window
+/// instruction of its transient packet, keeping one such checkpoint per
+/// backend. A later run resumes from it when everything that fixes the
+/// state at that point matches: the mode, `max_cycles`, the plan, the
+/// trigger verdict, the packets before the transient one and the
+/// transient packet's kind, base and words up to the window. Phase 2's
+/// mutation attempts and Phase 3's sanitised run differ only inside the
+/// window, so they skip the training packets and the prologue.
 #[derive(Clone, Debug)]
 pub struct NetlistBackend {
     dut: &'static str,
@@ -314,6 +399,77 @@ pub struct NetlistBackend {
     /// the netlist and I/O mapping cannot run, which every run reports.
     program: Result<Arc<SimProgram>, BackendError>,
     io: NetlistIo,
+    /// The last simulated run's window-entry state.
+    checkpoint: Option<WindowCheckpoint>,
+}
+
+/// Where a netlist run is, between two instructions: the next word to
+/// drive and everything built before it.
+#[derive(Clone, Debug, Default)]
+struct RunPoint {
+    packet: usize,
+    word: usize,
+    cycle: u64,
+    idx: usize,
+    trace: Trace,
+    taint_log: TaintLog,
+}
+
+/// Everything that fixes a netlist run's state at its window entry.
+///
+/// The secret pair is not a run input (every run plants
+/// [`DEFAULT_SECRET`]); a backend that takes it per run must key on it.
+#[derive(Clone, Debug)]
+struct WindowKey {
+    mode: IftMode,
+    max_cycles: u64,
+    plan: TransientPlan,
+    triggered: bool,
+    /// The packets before the transient one.
+    before: Vec<SwapPacket>,
+    kind: PacketKind,
+    base: u64,
+    /// The transient packet's words before the window.
+    prologue: Vec<u32>,
+}
+
+impl WindowKey {
+    /// Whether a run of `schedule` reaches this key's window entry in the
+    /// same state and then drives the instruction there.
+    fn matches(
+        &self,
+        plan: &TransientPlan,
+        schedule: &[SwapPacket],
+        mode: IftMode,
+        max_cycles: u64,
+        triggered: bool,
+    ) -> bool {
+        let Some((transient, before)) = schedule
+            .get(..=self.before.len())
+            .and_then(|s| s.split_last())
+        else {
+            return false;
+        };
+        self.mode == mode
+            && self.max_cycles == max_cycles
+            && self.triggered == triggered
+            && self.plan == *plan
+            && self.before == before
+            && self.kind == transient.kind
+            && self.base == transient.program.base
+            && transient.program.words.len() > self.prologue.len()
+            && transient.program.words.starts_with(&self.prologue)
+    }
+}
+
+/// A netlist run saved at its window entry.
+#[derive(Clone, Debug)]
+struct WindowCheckpoint {
+    key: WindowKey,
+    at: RunPoint,
+    /// Whether `at.taint_log` holds the census prefix.
+    census: bool,
+    state: SimState,
 }
 
 impl NetlistBackend {
@@ -329,7 +485,12 @@ impl NetlistBackend {
                 .map(Arc::new)
                 .map_err(BackendError::InvalidNetlist)
         });
-        NetlistBackend { dut, program, io }
+        NetlistBackend {
+            dut,
+            program,
+            io,
+            checkpoint: None,
+        }
     }
 
     /// Checks that every stimulus role maps onto an input port.
@@ -504,27 +665,81 @@ impl SimBackend for NetlistBackend {
         mode: IftMode,
         max_cycles: u64,
     ) -> Result<RunOutcome, BackendError> {
-        // Fail a misconfigured backend per-run, not per-campaign.
-        let program = self.program.as_ref().map_err(BackendError::clone)?;
-        let mut sim = NetlistSim::from_program(Arc::clone(program), mode);
+        self.run_demand(plan, schedule, mode, max_cycles, RunDemand::ALL)
+    }
 
-        let mut trace = Trace::new();
-        let mut taint_log = TaintLog::new();
-        let mut cycle: u64 = 0;
-        let mut idx: usize = 0;
-        let mut packets_run = 0;
+    fn run_demand(
+        &mut self,
+        plan: &TransientPlan,
+        schedule: &[SwapPacket],
+        mode: IftMode,
+        max_cycles: u64,
+        demand: RunDemand,
+    ) -> Result<RunOutcome, BackendError> {
+        // Fail a misconfigured backend per-run, not per-campaign.
+        let program = Arc::clone(self.program.as_ref().map_err(BackendError::clone)?);
+        let census = demand.taint_log && mode != IftMode::Base;
+        let simulate = census || demand.sinks;
         let triggered = Self::schedule_triggers(plan, schedule);
+        let metrics = crate::metrics::handles();
+
+        // A from-reset run is a resume at packet 0, word 0.
+        let resume = self.checkpoint.as_ref().filter(|c| {
+            simulate
+                && (c.census || !census)
+                && c.key.matches(plan, schedule, mode, max_cycles, triggered)
+        });
+        let (at, mut sim) = match resume {
+            Some(c) => {
+                metrics.sim_checkpoint_hits_total.inc();
+                metrics.sim_cycles_skipped_total.add(c.at.cycle);
+                let mut sim = NetlistSim::from_program(program, mode);
+                sim.restore_state(&c.state);
+                let at = RunPoint {
+                    trace: c.at.trace.clone(),
+                    // A fresh run without a census returns no log.
+                    taint_log: if census {
+                        c.at.taint_log.clone()
+                    } else {
+                        TaintLog::new()
+                    },
+                    ..c.at
+                };
+                (at, Some(sim))
+            }
+            None => {
+                if simulate {
+                    metrics.sim_checkpoint_misses_total.inc();
+                }
+                let sim = simulate.then(|| NetlistSim::from_program(program, mode));
+                (RunPoint::default(), sim)
+            }
+        };
+        // Only a simulated run has a state to save, and a resumed one is
+        // already past its save point.
+        let mut saved = resume.is_some() || !simulate;
+        let RunPoint {
+            packet: first_packet,
+            word: first_word,
+            mut cycle,
+            mut idx,
+            mut trace,
+            mut taint_log,
+        } = at;
+
+        let mut packets_run = first_packet;
         let win_lo = plan.window_addr;
         let win_hi = plan.window_addr + 4 * plan.window_slots as u64;
         let cause = plan.window_type.expected_cause();
 
-        'packets: for (pi, packet) in schedule.iter().enumerate() {
+        'packets: for (pi, packet) in schedule.iter().enumerate().skip(first_packet) {
             packets_run += 1;
             let transient = packet.kind == PacketKind::Transient;
             let mut injected = false;
             let mut window_after_idx = None;
             let mut window_enqueued = 0usize;
-            for (wi, &word) in packet.program.words.iter().enumerate() {
+            let skip = if pi == first_packet { first_word } else { 0 };
+            for (wi, &word) in packet.program.words.iter().enumerate().skip(skip) {
                 let addr = packet.program.base + 4 * wi as u64;
                 let instr = decode(word);
                 let in_window = transient && (win_lo..win_hi).contains(&addr);
@@ -542,10 +757,37 @@ impl SimBackend for NetlistBackend {
                                     // run reads as untriggered
                 }
                 if in_window {
+                    if let (false, Some(sim)) = (saved, sim.as_ref()) {
+                        saved = true;
+                        self.checkpoint = Some(WindowCheckpoint {
+                            key: WindowKey {
+                                mode,
+                                max_cycles,
+                                plan: plan.clone(),
+                                triggered,
+                                before: schedule[..pi].to_vec(),
+                                kind: packet.kind,
+                                base: packet.program.base,
+                                prologue: packet.program.words[..wi].to_vec(),
+                            },
+                            at: RunPoint {
+                                packet: pi,
+                                word: wi,
+                                cycle,
+                                idx,
+                                trace: trace.clone(),
+                                taint_log: taint_log.clone(),
+                            },
+                            census,
+                            state: sim.save_state(),
+                        });
+                    }
                     if window_after_idx.is_none() {
                         window_after_idx = Some(idx.saturating_sub(1));
                     }
-                    self.drive_window(&mut sim, instr, word, &mut injected);
+                    if let Some(sim) = sim.as_mut() {
+                        self.drive_window(sim, instr, word, &mut injected);
+                    }
                     trace.push(RobEvent::Enq {
                         cycle,
                         skew_b: 0,
@@ -555,7 +797,9 @@ impl SimBackend for NetlistBackend {
                     });
                     window_enqueued += 1;
                 } else {
-                    self.drive_background(&mut sim, word, cycle);
+                    if let Some(sim) = sim.as_mut() {
+                        self.drive_background(sim, word, cycle);
+                    }
                     trace.push(RobEvent::Enq {
                         cycle,
                         skew_b: 0,
@@ -570,19 +814,23 @@ impl SimBackend for NetlistBackend {
                     });
                 }
                 idx += 1;
-                sim.step();
-                if mode != IftMode::Base {
-                    taint_log.push(sim.census());
+                if let Some(sim) = sim.as_mut() {
+                    sim.step();
+                    if census {
+                        taint_log.push(sim.census());
+                    }
                 }
                 cycle += 1;
             }
             // Close a triggered window with the rollback + squash.
             if let Some(after_idx) = window_after_idx {
                 if window_enqueued > 0 && cycle < max_cycles {
-                    self.drive_rollback(&mut sim);
-                    sim.step();
-                    if mode != IftMode::Base {
-                        taint_log.push(sim.census());
+                    if let Some(sim) = sim.as_mut() {
+                        self.drive_rollback(sim);
+                        sim.step();
+                        if census {
+                            taint_log.push(sim.census());
+                        }
                     }
                     trace.push(RobEvent::Squash {
                         cycle,
@@ -596,10 +844,17 @@ impl SimBackend for NetlistBackend {
             }
         }
 
+        if sim.is_none() {
+            metrics.sim_cycles_skipped_total.add(cycle);
+        }
+        let sinks = match &sim {
+            Some(sim) if demand.sinks => sim.sink_reports(),
+            _ => Vec::new(),
+        };
         Ok(RunOutcome {
             trace,
             taint_log,
-            sinks: sim.sink_reports(),
+            sinks,
             timing_events: Vec::new(),
             total_cycles: (cycle, cycle),
             packets_run,
@@ -618,7 +873,8 @@ impl SimBackend for NetlistBackend {
 pub enum BackendSpec {
     /// Behavioural out-of-order core model.
     Behavioural(CoreConfig),
-    /// DIFT-instrumented netlist interpreter over a synthetic core scale.
+    /// DIFT-instrumented netlist on the compiled kernel, over a synthetic
+    /// core scale.
     Netlist(CoreScale),
     /// A registered extension backend, by id (labelled `ext:<id>`); see
     /// [`crate::registry::register_backend`]. Snapshots echo the label,

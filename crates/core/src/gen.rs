@@ -213,7 +213,7 @@ impl Seed {
 
 /// The plan of a transient packet: all addresses Phase 1/2/3 need to build
 /// and rebuild it (with a dummy, real, or sanitized window).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransientPlan {
     /// Window category.
     pub window_type: WindowType,

@@ -21,8 +21,8 @@
 //!
 //! The phases are generic over a pluggable simulation backend
 //! ([`backend::SimBackend`]): the behavioural out-of-order cores
-//! ([`backend::BehaviouralBackend`]) or the DIFT-instrumented netlist
-//! interpreter ([`backend::NetlistBackend`] over `dejavuzz-rtl`), selected
+//! ([`backend::BehaviouralBackend`]) or DIFT-instrumented netlists on a
+//! compiled kernel ([`backend::NetlistBackend`] over `dejavuzz-rtl`), selected
 //! by a cloneable [`backend::BackendSpec`]. Around the phases sits the
 //! fuzzing pipeline of §5:
 //!
@@ -192,7 +192,8 @@ pub mod scheduler;
 pub mod snapshot;
 
 pub use backend::{
-    BackendError, BackendSpec, BehaviouralBackend, NetlistBackend, ProcSpec, RunOutcome, SimBackend,
+    BackendError, BackendSpec, BehaviouralBackend, NetlistBackend, ProcSpec, RunDemand, RunOutcome,
+    SimBackend,
 };
 pub use builder::{BuildError, CampaignBuilder};
 pub use campaign::{CampaignStats, FuzzerOptions};

@@ -82,6 +82,15 @@ pub struct CoreMetrics {
     pub pool_in_flight: Arc<Gauge>,
     /// Worker processes respawned after a crash or protocol error.
     pub pool_respawns_total: Arc<Counter>,
+    /// Netlist runs that resumed from the backend's window-entry
+    /// checkpoint.
+    pub sim_checkpoint_hits_total: Arc<Counter>,
+    /// Simulated netlist runs that found no matching checkpoint and
+    /// started from reset.
+    pub sim_checkpoint_misses_total: Arc<Counter>,
+    /// Netlist cycles not simulated: the prefixes resumed runs skipped,
+    /// plus every cycle of runs whose demand needed no simulation.
+    pub sim_cycles_skipped_total: Arc<Counter>,
 }
 
 /// The engine's instruments, registered on first use.
@@ -175,6 +184,18 @@ pub fn handles() -> &'static CoreMetrics {
             pool_respawns_total: r.counter(
                 "dejavuzz_pool_respawns_total",
                 "Worker processes respawned after a crash or protocol error",
+            ),
+            sim_checkpoint_hits_total: r.counter(
+                "dejavuzz_sim_checkpoint_hits_total",
+                "Netlist runs resumed from a window-entry checkpoint",
+            ),
+            sim_checkpoint_misses_total: r.counter(
+                "dejavuzz_sim_checkpoint_misses_total",
+                "Simulated netlist runs that started from reset (no matching checkpoint)",
+            ),
+            sim_cycles_skipped_total: r.counter(
+                "dejavuzz_sim_cycles_skipped_total",
+                "Netlist cycles not simulated: resumed prefixes plus runs that needed no simulation",
             ),
         }
     })

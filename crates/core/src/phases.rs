@@ -1,15 +1,17 @@
 //! The three fuzzing phases of Figure 5, generic over the simulation
 //! backend ([`crate::backend::SimBackend`]).
 //!
-//! Every phase drives the backend through [`simulate`] and analyses the
-//! backend-neutral [`RunOutcome`]; backend failures propagate as
+//! Every phase drives the backend through [`SimBackend::run_demand`],
+//! naming the [`RunOutcome`] fields it reads (Phase 1 the trace, Phase 2
+//! everything, Phase 3's sanitised re-run the sinks), and analyses the
+//! backend-neutral outcome; backend failures propagate as
 //! [`BackendError`] so a misconfigured backend fails the *run* (the
 //! executor records it and keeps fuzzing), never the campaign.
 
 use dejavuzz_ift::{IftMode, TaintCoverage};
 use dejavuzz_swapmem::{SwapMem, SwapPacket, DEFAULT_LAYOUT};
 
-use crate::backend::{BackendError, RunOutcome, SimBackend};
+use crate::backend::{BackendError, RunDemand, RunOutcome, SimBackend};
 use crate::gen::{self, Seed, TransientPlan, WindowBody, WindowFill};
 use crate::report::{AttackType, BugReport, LeakChannel};
 
@@ -63,17 +65,6 @@ pub fn build_mem(plan: &TransientPlan, schedule: &[SwapPacket], secret: &[u8]) -
     mem
 }
 
-/// Runs one simulation of a schedule on the given backend.
-pub fn simulate<B: SimBackend + ?Sized>(
-    backend: &mut B,
-    plan: &TransientPlan,
-    schedule: &[SwapPacket],
-    mode: IftMode,
-    max_cycles: u64,
-) -> Result<RunOutcome, BackendError> {
-    backend.run(plan, schedule, mode, max_cycles)
-}
-
 /// Phase 1 output.
 #[derive(Clone, Debug)]
 pub struct Phase1Result {
@@ -88,7 +79,10 @@ pub struct Phase1Result {
     pub to: usize,
     /// Effective training overhead (Table 3 ETO, excludes alignment nops).
     pub eto: usize,
-    /// RTL simulations spent (trigger evaluation + reduction passes).
+    /// Simulations requested (trigger evaluation + reduction passes). A
+    /// backend may answer one without simulating every cycle — the
+    /// netlist backend reads the trigger off the schedule — but each
+    /// request counts.
     pub sim_runs: usize,
 }
 
@@ -113,7 +107,13 @@ pub fn phase1<B: SimBackend + ?Sized>(
     let mut triggers =
         |schedule: &[SwapPacket], sim_runs: &mut usize| -> Result<bool, BackendError> {
             *sim_runs += 1;
-            let r = simulate(backend, &plan, schedule, IftMode::Base, opts.max_cycles)?;
+            let r = backend.run_demand(
+                &plan,
+                schedule,
+                IftMode::Base,
+                opts.max_cycles,
+                RunDemand::TRACE,
+            )?;
             Ok(r.trace
                 .window_in_packet_caused(schedule.len() - 1, Some(expected))
                 .is_some_and(|w| w.triggered()))
@@ -186,7 +186,13 @@ pub fn phase2<B: SimBackend + ?Sized, C: TaintCoverage + ?Sized>(
     schedule.extend_from_slice(&p1.schedule[..p1.schedule.len() - 1]);
     schedule.push(transient);
 
-    let run = simulate(backend, &p1.plan, &schedule, opts.mode, opts.max_cycles)?;
+    let run = backend.run_demand(
+        &p1.plan,
+        &schedule,
+        opts.mode,
+        opts.max_cycles,
+        RunDemand::ALL,
+    )?;
     let window = run.window_in_packet(schedule.len() - 1);
     let taints_increased = window
         .map(|w| {
@@ -294,7 +300,13 @@ pub fn phase3<B: SimBackend + ?Sized>(
     let mut schedule = p2.schedule.clone();
     let last = schedule.len() - 1;
     schedule[last] = sanitized_pkt;
-    let sanitized = simulate(backend, &p1.plan, &schedule, opts.mode, opts.max_cycles)?;
+    let sanitized = backend.run_demand(
+        &p1.plan,
+        &schedule,
+        opts.mode,
+        opts.max_cycles,
+        RunDemand::SINKS,
+    )?;
     let sanitized_tainted: std::collections::HashSet<(&'static str, String, usize)> = sanitized
         .sinks
         .iter()

@@ -18,7 +18,8 @@
 //!   whose signals carry [`dejavuzz_ift::TWord`] two-plane values, making
 //!   the same simulator serve as the paper's differential testbench; a
 //!   netlist is compiled once into a shared [`SimProgram`] and each run is
-//!   a state-only [`NetlistSim`] over it,
+//!   a state-only [`NetlistSim`] over it, whose cycle-to-cycle state can
+//!   be saved and restored as a [`SimState`],
 //! * [`examples`] — the Figure 2 RoB-entry circuit and synthetic
 //!   BOOM/XiangShan-scale netlists for the Table 4 compile-time rows.
 
@@ -32,4 +33,4 @@ pub mod sim;
 pub use builder::NetlistBuilder;
 pub use instrument::{instrument, InstrumentReport};
 pub use ir::{CellKind, MemId, Netlist, NetlistError, SignalId};
-pub use sim::{NetlistSim, SimProgram};
+pub use sim::{NetlistSim, SimProgram, SimState};

@@ -18,6 +18,11 @@
 //!   memories, driven inputs and a reused next-state buffer. Creating or
 //!   cloning one copies state only. [`NetlistSim::eval_comb`] and the
 //!   clock edge dispatch once on the mode to a loop specialised for it.
+//! * [`SimState`] is the part of a run that carries from one cycle to the
+//!   next: register values, memories, driven inputs and the cycle count.
+//!   [`NetlistSim::save_state`] takes one and [`NetlistSim::restore_state`]
+//!   puts it back, so a caller can resume a run from a saved cycle instead
+//!   of re-simulating it from reset.
 //!
 //! Each cycle evaluates every combinational cell in order (SSA order is a
 //! valid levelisation), then clocks: all registers compute their next
@@ -167,6 +172,13 @@ impl SimProgram {
             census_regs,
         })
     }
+
+    /// Every register's signal, connected or not, in a fixed order.
+    fn registers(&self) -> impl Iterator<Item = usize> + '_ {
+        self.census_regs
+            .iter()
+            .flat_map(|(_, regs)| regs.iter().map(|&r| r as usize))
+    }
 }
 
 /// The IFT mode a specialised evaluation loop is compiled for.
@@ -198,6 +210,23 @@ impl Mode for CellIftMode {
 
 impl Mode for DiffIftMode {
     const MODE: IftMode = IftMode::DiffIft;
+}
+
+/// What a [`NetlistSim`] carries from one cycle to the next: every
+/// register value, the memories, the driven inputs and the cycle count.
+///
+/// Combinational values are left out: the next [`NetlistSim::step`]
+/// recomputes all of them from this state before it clocks, so a
+/// simulator restored from a `SimState` steps exactly like the one it was
+/// saved from. Until that step, [`NetlistSim::signal`] on a combinational
+/// signal reads whatever the restored-into simulator last computed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SimState {
+    /// Register values, in the program's register order.
+    regs: Vec<TWord>,
+    mems: Vec<TMem>,
+    inputs: Vec<TWord>,
+    cycle: u64,
 }
 
 /// Simulates one run over a [`SimProgram`], cycle by cycle.
@@ -339,6 +368,38 @@ impl NetlistSim {
             "taint_reg target must be a register"
         );
         self.values[sig] = self.values[sig].fully_tainted();
+    }
+
+    /// Saves the state the next [`NetlistSim::step`] reads (see
+    /// [`SimState`]).
+    pub fn save_state(&self) -> SimState {
+        SimState {
+            regs: self.program.registers().map(|r| self.values[r]).collect(),
+            mems: self.mems.clone(),
+            inputs: self.inputs.clone(),
+            cycle: self.cycle,
+        }
+    }
+
+    /// Restores a state saved by [`NetlistSim::save_state`] on a simulator
+    /// over the same program and in the same mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state's register or memory count differs from this
+    /// program's.
+    pub fn restore_state(&mut self, state: &SimState) {
+        assert_eq!(
+            (state.regs.len(), state.mems.len()),
+            (self.program.registers().count(), self.mems.len()),
+            "state saved from a different program"
+        );
+        for (r, &v) in self.program.registers().zip(&state.regs) {
+            self.values[r] = v;
+        }
+        self.mems.clone_from(&state.mems);
+        self.inputs.clone_from(&state.inputs);
+        self.cycle = state.cycle;
     }
 
     /// Evaluates combinational logic, then advances the clock one edge.
@@ -1148,5 +1209,69 @@ mod tests {
             }
         }
         assert_eq!(kinds.len(), 13, "every CellKind is generated");
+    }
+
+    #[test]
+    fn restored_state_steps_like_the_uninterrupted_run() {
+        let mut rng = Rng(0xC4EC);
+        for net in 0..40 {
+            let netlist = random_netlist(&mut rng);
+            let program = Arc::new(SimProgram::compile(netlist.clone()).unwrap());
+            let regs: Vec<usize> = (0..netlist.cells.len())
+                .filter(|&i| netlist.cells[i].kind.is_sequential())
+                .collect();
+            for mode in IftMode::ALL {
+                let driven = 1 + rng.below(5);
+                let cycles = 24;
+                let k = rng.below(cycles);
+                let mut sim = NetlistSim::from_program(program.clone(), mode);
+                let mut resumed = None;
+                for cycle in 0..cycles {
+                    if cycle == k {
+                        let state = sim.save_state();
+                        let mut fresh = NetlistSim::from_program(program.clone(), mode);
+                        fresh.restore_state(&state);
+                        assert_eq!(fresh.cycle(), k as u64);
+                        assert_eq!(fresh.save_state(), state, "net {net} {mode:?}");
+                        resumed = Some(fresh);
+                    }
+                    let what = format!("net {net} {mode:?} saved at {k}, cycle {cycle}");
+                    // The same stimulus (taint injections and testbench
+                    // pokes included) goes to both simulators.
+                    for port in 0..driven {
+                        let w = rng.word();
+                        sim.set_input(port, w);
+                        if let Some(r) = resumed.as_mut() {
+                            r.set_input(port, w);
+                        }
+                    }
+                    if !regs.is_empty() && rng.chance(15) {
+                        let reg = regs[rng.below(regs.len())];
+                        sim.taint_reg(reg);
+                        if let Some(r) = resumed.as_mut() {
+                            r.taint_reg(reg);
+                        }
+                    }
+                    if rng.chance(15) {
+                        let m = rng.below(netlist.mems.len());
+                        let idx = rng.below(netlist.mems[m].words);
+                        let w = rng.word();
+                        sim.mem_poke(m, idx, w);
+                        if let Some(r) = resumed.as_mut() {
+                            r.mem_poke(m, idx, w);
+                        }
+                    }
+                    sim.step();
+                    let Some(r) = resumed.as_mut() else { continue };
+                    r.step();
+                    for i in 0..netlist.cells.len() {
+                        assert_eq!(r.signal(i), sim.signal(i), "{what}: signal {i}");
+                    }
+                    assert_eq!(r.census(), sim.census(), "{what}: census");
+                    assert_eq!(r.sink_reports(), sim.sink_reports(), "{what}: sinks");
+                    assert_eq!(r.cycle(), sim.cycle(), "{what}: cycle");
+                }
+            }
+        }
     }
 }
