@@ -111,9 +111,9 @@ impl std::error::Error for BackendError {}
 /// the netlist backend synthesises the trace from its stimulus protocol
 /// and takes the taint log / sink sweep straight off the netlist state.
 ///
-/// A run made through [`SimBackend::run_demand`] fills at least the
-/// fields its [`RunDemand`] names, plus `total_cycles` and `packets_run`
-/// always; a field it did not demand may be left empty.
+/// A run made through [`SimBackend::run_demand`] always fills `trace`,
+/// `timing_events`, `total_cycles` and `packets_run`, plus the fields its
+/// [`RunDemand`] names; a field it did not demand may be left empty.
 #[derive(Clone, Debug, Default)]
 pub struct RunOutcome {
     /// RoB IO trace (window detection, Phase 1 trigger evaluation).
@@ -131,15 +131,14 @@ pub struct RunOutcome {
     pub packets_run: usize,
 }
 
-/// Which [`RunOutcome`] fields a caller of [`SimBackend::run_demand`] will
-/// read, so a backend can skip the work behind the others.
+/// Which optional [`RunOutcome`] fields a caller of
+/// [`SimBackend::run_demand`] will read, so a backend can skip the work
+/// behind the others.
 ///
-/// `total_cycles` and `packets_run` are always filled, and
-/// `timing_events` travels with the trace.
+/// The trace, `timing_events`, `total_cycles` and `packets_run` are always
+/// filled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunDemand {
-    /// The RoB IO trace (and the timing events).
-    pub trace: bool,
     /// The per-cycle taint census.
     pub taint_log: bool,
     /// The final tainted-sink sweep.
@@ -149,19 +148,16 @@ pub struct RunDemand {
 impl RunDemand {
     /// Every field: what [`SimBackend::run`] returns.
     pub const ALL: RunDemand = RunDemand {
-        trace: true,
         taint_log: true,
         sinks: true,
     };
-    /// The trace only (Phase 1's trigger check).
-    pub const TRACE: RunDemand = RunDemand {
-        trace: true,
+    /// Nothing beyond the always-filled fields (Phase 1's trigger check).
+    pub const NONE: RunDemand = RunDemand {
         taint_log: false,
         sinks: false,
     };
-    /// The sinks only (Phase 3's sanitised re-run).
+    /// The sinks (Phase 3's sanitised re-run).
     pub const SINKS: RunDemand = RunDemand {
-        trace: false,
         taint_log: false,
         sinks: true,
     };
@@ -392,6 +388,10 @@ fn mix(word: u32, salt: u64) -> u64 {
 /// transient packet's kind, base and words up to the window. Phase 2's
 /// mutation attempts and Phase 3's sanitised run differ only inside the
 /// window, so they skip the training packets and the prologue.
+///
+/// Each backend counts its own hits and misses
+/// ([`NetlistBackend::checkpoint_counts`]); the process-wide totals are
+/// the `dejavuzz_sim_checkpoint_*` metrics.
 #[derive(Clone, Debug)]
 pub struct NetlistBackend {
     dut: &'static str,
@@ -401,6 +401,8 @@ pub struct NetlistBackend {
     io: NetlistIo,
     /// The last simulated run's window-entry state.
     checkpoint: Option<WindowCheckpoint>,
+    /// Simulated runs that resumed from / missed the checkpoint.
+    checkpoint_counts: (u64, u64),
 }
 
 /// Where a netlist run is, between two instructions: the next word to
@@ -490,7 +492,15 @@ impl NetlistBackend {
             program,
             io,
             checkpoint: None,
+            checkpoint_counts: (0, 0),
         }
+    }
+
+    /// How many of this backend's simulated runs resumed from its
+    /// window-entry checkpoint, and how many started from reset:
+    /// `(hits, misses)`. Runs that need no simulation count as neither.
+    pub fn checkpoint_counts(&self) -> (u64, u64) {
+        self.checkpoint_counts
     }
 
     /// Checks that every stimulus role maps onto an input port.
@@ -691,6 +701,7 @@ impl SimBackend for NetlistBackend {
         });
         let (at, mut sim) = match resume {
             Some(c) => {
+                self.checkpoint_counts.0 += 1;
                 metrics.sim_checkpoint_hits_total.inc();
                 metrics.sim_cycles_skipped_total.add(c.at.cycle);
                 let mut sim = NetlistSim::from_program(program, mode);
@@ -709,6 +720,7 @@ impl SimBackend for NetlistBackend {
             }
             None => {
                 if simulate {
+                    self.checkpoint_counts.1 += 1;
                     metrics.sim_checkpoint_misses_total.inc();
                 }
                 let sim = simulate.then(|| NetlistSim::from_program(program, mode));

@@ -2,8 +2,9 @@
 //! backend ([`crate::backend::SimBackend`]).
 //!
 //! Every phase drives the backend through [`SimBackend::run_demand`],
-//! naming the [`RunOutcome`] fields it reads (Phase 1 the trace, Phase 2
-//! everything, Phase 3's sanitised re-run the sinks), and analyses the
+//! naming the optional [`RunOutcome`] fields it reads (Phase 1 none, as
+//! it reads only the always-filled trace; Phase 2 everything; Phase 3's
+//! sanitised re-run the sinks), and analyses the
 //! backend-neutral outcome; backend failures propagate as
 //! [`BackendError`] so a misconfigured backend fails the *run* (the
 //! executor records it and keeps fuzzing), never the campaign.
@@ -112,7 +113,7 @@ pub fn phase1<B: SimBackend + ?Sized>(
                 schedule,
                 IftMode::Base,
                 opts.max_cycles,
-                RunDemand::TRACE,
+                RunDemand::NONE,
             )?;
             Ok(r.trace
                 .window_in_packet_caused(schedule.len() - 1, Some(expected))

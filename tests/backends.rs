@@ -14,8 +14,6 @@
 //!   a fresh backend simulating from reset returns, and must resume only
 //!   when the whole checkpoint key matches.
 
-use std::sync::{Mutex, MutexGuard};
-
 use dejavuzz::backend::{
     BackendError, BackendSpec, NetlistBackend, NetlistIo, RunDemand, RunOutcome, SimBackend,
 };
@@ -31,15 +29,8 @@ use dejavuzz_rtl::examples::{synthetic_core, BOOM_SCALE, SMALL_SCALE};
 use dejavuzz_rtl::{CellKind, NetlistError};
 use dejavuzz_swapmem::SwapPacket;
 use dejavuzz_uarch::boom_small;
+use dejavuzz_uarch::trace::RobEvent;
 use proptest::prelude::*;
-
-/// Serialises this binary's tests that simulate on a netlist backend: the
-/// checkpoint tests read the process-wide hit and miss counters, which a
-/// concurrent netlist run would move.
-fn netlist_serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// (a) The explicit behavioural spec and the historical
 /// `CoreConfig`-positional entry points are the same campaign, bit for
@@ -82,7 +73,6 @@ fn behavioural_backend_reproduces_pipeline_determinism() {
 /// field register under CellIFT and stays bounded under diffIFT.
 #[test]
 fn netlist_rob_entry_reproduces_figure2_split_through_phase2() {
-    let _serial = netlist_serial();
     const ENTRIES: usize = 16;
     let mut peaks = Vec::new();
     for mode in [IftMode::CellIft, IftMode::DiffIft] {
@@ -122,7 +112,6 @@ fn netlist_rob_entry_reproduces_figure2_split_through_phase2() {
 /// `TaintCoverage` sink, and stays deterministic per (seed, workers).
 #[test]
 fn netlist_backend_campaign_end_to_end() {
-    let _serial = netlist_serial();
     let spec = BackendSpec::netlist(SMALL_SCALE);
     let a = executor::run(spec.clone(), FuzzerOptions::default(), 2, 16, 11);
     assert_eq!(a.stats.iterations, 16);
@@ -238,15 +227,6 @@ fn backend_capability_flags() {
     assert!(netlist.supports_taint());
 }
 
-/// The process-wide checkpoint (hits, misses) counters.
-fn checkpoint_counts() -> (u64, u64) {
-    let m = dejavuzz::metrics::handles();
-    (
-        m.sim_checkpoint_hits_total.get(),
-        m.sim_checkpoint_misses_total.get(),
-    )
-}
-
 /// One request a phase made of the backend, with what came back.
 #[derive(Clone, Debug)]
 struct Request {
@@ -321,14 +301,12 @@ impl SimBackend for Recording<'_> {
     }
 }
 
-/// Asserts the fields `demand` names (and the always-filled counts) agree.
+/// Asserts the always-filled fields and the fields `demand` names agree.
 fn assert_demanded_eq(got: &RunOutcome, want: &RunOutcome, demand: RunDemand, what: &str) {
     assert_eq!(got.total_cycles, want.total_cycles, "{what}: total_cycles");
     assert_eq!(got.packets_run, want.packets_run, "{what}: packets_run");
-    if demand.trace {
-        assert_eq!(got.trace.events(), want.trace.events(), "{what}: trace");
-        assert_eq!(got.timing_events, want.timing_events, "{what}: timing");
-    }
+    assert_eq!(got.trace.events(), want.trace.events(), "{what}: trace");
+    assert_eq!(got.timing_events, want.timing_events, "{what}: timing");
     if demand.taint_log {
         let censuses = |o: &RunOutcome| {
             o.taint_log
@@ -381,11 +359,9 @@ fn warm_slot(
 /// fresh full run's. Returns how many requests simulated.
 fn check_slot(proto: &NetlistBackend, seed: &Seed, mode: IftMode, attempts: usize) -> usize {
     let mut warm = proto.clone();
-    let before = checkpoint_counts();
     let Some(requests) = warm_slot(&mut warm, seed, mode, attempts) else {
         return 0;
     };
-    let after = checkpoint_counts();
     let simulated = requests
         .iter()
         .filter(|r| r.demand.sinks || (r.demand.taint_log && r.mode != IftMode::Base))
@@ -393,7 +369,7 @@ fn check_slot(proto: &NetlistBackend, seed: &Seed, mode: IftMode, attempts: usiz
     // Phase 1 needs no simulation; the first phase-2 attempt starts from
     // reset, and every later attempt and phase 3 resume at the window.
     assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
+        warm.checkpoint_counts(),
         (simulated as u64 - 1, 1),
         "{seed:?} {mode:?}: (hits, misses)"
     );
@@ -411,11 +387,10 @@ fn check_slot(proto: &NetlistBackend, seed: &Seed, mode: IftMode, attempts: usiz
         .iter()
         .find(|r| r.demand == RunDemand::ALL)
         .expect("phase 2 ran");
-    for bits in 0..8 {
+    for bits in 0..4 {
         let demand = RunDemand {
-            trace: bits & 1 != 0,
-            taint_log: bits & 2 != 0,
-            sinks: bits & 4 != 0,
+            taint_log: bits & 1 != 0,
+            sinks: bits & 2 != 0,
         };
         for (from, backend) in [("fresh", proto), ("warm", &warm)] {
             let got = p2.replay(&mut backend.clone(), demand);
@@ -447,21 +422,19 @@ fn check_variant(
     hit: bool,
     what: &str,
 ) {
-    let before = checkpoint_counts();
-    let got = variant.replay(&mut warm.clone(), variant.demand);
-    let after = checkpoint_counts();
-    let want = (u64::from(hit), u64::from(!hit));
-    assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
-        want,
-        "{what}: (hits, misses)"
-    );
+    let mut backend = warm.clone();
+    let (hits, misses) = backend.checkpoint_counts();
+    let got = variant.replay(&mut backend, variant.demand);
+    let want = (hits + u64::from(hit), misses + u64::from(!hit));
+    assert_eq!(backend.checkpoint_counts(), want, "{what}: (hits, misses)");
     let fresh = variant.replay(&mut proto.clone(), variant.demand);
     assert_demanded_eq(&got, &fresh, RunDemand::ALL, what);
 }
 
 /// A run that differs from the saved key in exactly one part — the mode,
-/// `max_cycles`, one prologue word or one training packet — misses. The
+/// `max_cycles` (above the window entry, and below it so the run ends
+/// before the window), one prologue word or one training packet — misses,
+/// and returns what a fresh backend returns. The
 /// variants demand the sinks only, so the census prefix the checkpoint
 /// holds never decides a hit: only the key does. Returns whether a
 /// prologue word and a training packet could be varied.
@@ -500,7 +473,29 @@ fn check_key_parts(proto: &NetlistBackend, seed: &Seed, mode: IftMode) -> (bool,
     };
     check_variant(&warm, proto, &variant, false, &format!("{what} max_cycles"));
 
+    // A budget that runs out before the window entry (the checkpoint's
+    // cycle, read off the trace) must end the run there, not resume past
+    // it.
     let transient = base.schedule.len() - 1;
+    let (win_lo, win_hi) = (
+        base.plan.window_addr,
+        base.plan.window_addr + 4 * base.plan.window_slots as u64,
+    );
+    let entry = last.outcome.trace.events().iter().find_map(|e| match *e {
+        RobEvent::Enq {
+            cycle, pc, packet, ..
+        } if packet == transient && (win_lo..win_hi).contains(&pc) => Some(cycle),
+        _ => None,
+    });
+    if let Some(max_cycles) = entry.and_then(|c| c.checked_sub(1)) {
+        let variant = Request {
+            max_cycles,
+            ..base.clone()
+        };
+        let what = format!("{what} max_cycles {max_cycles} before the window");
+        check_variant(&warm, proto, &variant, false, &what);
+    }
+
     let window_word =
         ((base.plan.window_addr - base.schedule[transient].program.base) / 4) as usize;
     let nop = dejavuzz_isa::encode(Instr::NOP);
@@ -542,8 +537,7 @@ proptest! {
     /// core and the Figure 2 RoB-entry circuit.
     #[test]
     fn checkpointed_netlist_runs_equal_fresh_runs(entropy in any::<u64>()) {
-        let _serial = netlist_serial();
-        for proto in [NetlistBackend::synthetic(SMALL_SCALE), NetlistBackend::rob_entry(8)] {
+            for proto in [NetlistBackend::synthetic(SMALL_SCALE), NetlistBackend::rob_entry(8)] {
             let mut simulated = 0;
             let (mut prologues, mut trainings) = (0, 0);
             for wt in WindowType::ALL {
@@ -565,7 +559,6 @@ proptest! {
 /// seeds.
 #[test]
 fn checkpointed_boom_runs_equal_fresh_runs() {
-    let _serial = netlist_serial();
     let proto = NetlistBackend::synthetic(BOOM_SCALE);
     let mut simulated = 0;
     for (wt, mode) in [
