@@ -340,6 +340,13 @@ fn run_iteration<V: CoverageView>(
         match phase3(backend, &p1, &p2, slot, &opts.phases) {
             Ok(p3) => {
                 out.sim_runs += 1;
+                let metrics = crate::metrics::handles();
+                metrics
+                    .phase3_rejected_residue_total
+                    .add(p3.rejected_residue as u64);
+                metrics
+                    .phase3_rejected_sanitized_total
+                    .add(p3.rejected_sanitized as u64);
                 out.bugs = p3.leaks;
             }
             Err(e) => out.error = Some(e.to_string()),

@@ -91,7 +91,16 @@ pub struct CoreMetrics {
     /// Netlist cycles not simulated: the prefixes resumed runs skipped,
     /// plus every cycle of runs whose demand needed no simulation.
     pub sim_cycles_skipped_total: Arc<Counter>,
+    /// Tainted sinks phase 3 dropped as dead residue (the liveness
+    /// filter): `dejavuzz_phase3_rejected_total{reason="residue"}`.
+    pub phase3_rejected_residue_total: Arc<Counter>,
+    /// Tainted sinks phase 3 dropped because the sanitised re-run tainted
+    /// them too: `dejavuzz_phase3_rejected_total{reason="sanitized"}`.
+    pub phase3_rejected_sanitized_total: Arc<Counter>,
 }
+
+const PHASE3_REJECTED_HELP: &str =
+    "Tainted sinks phase 3 rejected, by filter: dead residue or also tainted by the sanitised run";
 
 /// The engine's instruments, registered on first use.
 pub fn handles() -> &'static CoreMetrics {
@@ -196,6 +205,18 @@ pub fn handles() -> &'static CoreMetrics {
             sim_cycles_skipped_total: r.counter(
                 "dejavuzz_sim_cycles_skipped_total",
                 "Netlist cycles not simulated: resumed prefixes plus runs that needed no simulation",
+            ),
+            phase3_rejected_residue_total: r.labelled_counter(
+                "dejavuzz_phase3_rejected_total",
+                PHASE3_REJECTED_HELP,
+                "reason",
+                "residue",
+            ),
+            phase3_rejected_sanitized_total: r.labelled_counter(
+                "dejavuzz_phase3_rejected_total",
+                PHASE3_REJECTED_HELP,
+                "reason",
+                "sanitized",
             ),
         }
     })

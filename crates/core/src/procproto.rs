@@ -358,7 +358,7 @@ fn decode_rob_event(dec: &mut Decoder<'_>) -> Result<RobEvent, DecodeError> {
 /// allocation per module per cycle on the RPC hot path.
 fn census_name_dict(log: &TaintLog) -> Vec<&'static str> {
     let mut names: Vec<&'static str> = Vec::new();
-    for (_, census) in log.iter() {
+    for (_, census) in log.runs() {
         for m in census.modules() {
             // Linear scan: the vocabulary is the DUT's module list,
             // a few dozen entries at most.
@@ -409,9 +409,12 @@ fn encode_outcome(enc: &mut Encoder, out: &RunOutcome) {
     for n in &names {
         enc.str(n);
     }
+    // The wire keeps one census per cycle; the log stores runs.
     enc.usize(out.taint_log.len());
-    for c in 0..out.taint_log.len() {
-        encode_census(enc, out.taint_log.cycle(c).expect("c < len"), &names);
+    for (cycles, census) in out.taint_log.runs() {
+        for _ in cycles {
+            encode_census(enc, census, &names);
+        }
     }
     enc.usize(out.sinks.len());
     for s in &out.sinks {
@@ -684,7 +687,13 @@ mod tests {
         let mut census = Census::new();
         census.report_counts("rob", 3, 16);
         census.report_counts("dcache", 0, 8);
+        // A run of two identical cycles, then a changed one.
+        taint_log.push(census.clone());
         taint_log.push(census);
+        let mut changed = Census::new();
+        changed.report_counts("rob", 4, 16);
+        changed.report_counts("dcache", 1, 8);
+        taint_log.push(changed);
         let out = RunOutcome {
             trace,
             taint_log,
@@ -708,11 +717,12 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(decoded.trace.events(), out.trace.events());
-        assert_eq!(decoded.taint_log.len(), out.taint_log.len());
+        assert_eq!(decoded.taint_log.len(), 3);
         assert_eq!(
-            decoded.taint_log.cycle(0).unwrap().modules(),
-            out.taint_log.cycle(0).unwrap().modules()
+            format!("{:?}", decoded.taint_log),
+            format!("{:?}", out.taint_log)
         );
+        assert_eq!(decoded.taint_log.runs().count(), 2);
         assert_eq!(decoded.sinks, out.sinks);
         assert_eq!(decoded.timing_events, out.timing_events);
         assert_eq!(decoded.total_cycles, out.total_cycles);

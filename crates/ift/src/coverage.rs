@@ -36,8 +36,12 @@ pub trait TaintCoverage {
     fn observe(&mut self, census: &Census) -> usize;
 
     /// Observes every cycle of a taint log, returning the new points found.
+    ///
+    /// Each run of identical cycles is observed once: observing a census
+    /// again right after itself adds no point to any view, so the gain and
+    /// the order of fresh points are those of a cycle-by-cycle fold.
     fn observe_log(&mut self, log: &crate::census::TaintLog) -> usize {
-        log.iter().map(|(_, c)| self.observe(c)).sum()
+        log.runs().map(|(_, c)| self.observe(c)).sum()
     }
 }
 
@@ -157,9 +161,11 @@ impl CoverageMatrix {
         fresh
     }
 
-    /// Observes every cycle of a taint log, returning the new points found.
+    /// Observes every cycle of a taint log, returning the new points found
+    /// (one observation per run of identical cycles, as in
+    /// [`TaintCoverage::observe_log`]).
     pub fn observe_log(&mut self, log: &crate::census::TaintLog) -> usize {
-        log.iter().map(|(_, c)| self.observe(c)).sum()
+        log.runs().map(|(_, c)| self.observe(c)).sum()
     }
 
     /// Number of distinct coverage points collected so far — the y-axis of
@@ -641,5 +647,57 @@ mod tests {
             assert_eq!(cloned.observe(c), overlaid.observe(c));
         }
         assert_eq!(cloned.points(), overlaid.points());
+    }
+
+    use crate::census::tests::random_log;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Folding a log once per run gives the same gain, the same final
+        /// points and the same order of fresh points as observing every
+        /// cycle, from a view that already holds some points.
+        #[test]
+        fn observe_log_over_runs_equals_observing_every_cycle(
+            seed in any::<u64>(),
+            len in 0usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (log, cycles) = random_log(&mut rng, len);
+            let mut start = CoverageMatrix::new();
+            for index in 1..3 {
+                if rng.gen_bool(0.5) {
+                    start.insert(pt("rob", index));
+                }
+            }
+
+            let mut per_cycle = start.clone();
+            let gain: usize = cycles.iter().map(|c| per_cycle.observe(c)).sum();
+            let mut folded = start.clone();
+            prop_assert_eq!(folded.observe_log(&log), gain);
+            prop_assert_eq!(&folded, &per_cycle);
+            let mut folded = start.clone();
+            prop_assert_eq!(TaintCoverage::observe_log(&mut folded, &log), gain);
+            prop_assert_eq!(&folded, &per_cycle);
+
+            let record = |fold: &dyn Fn(&mut RecordingCoverage<'_, CoverageMatrix>) -> usize| {
+                let mut view = start.clone();
+                let mut recorded = Vec::new();
+                let mut observed = CoverageMatrix::new();
+                let gain = fold(&mut RecordingCoverage {
+                    view: &mut view,
+                    recorded: &mut recorded,
+                    observed: &mut observed,
+                });
+                (gain, view, recorded, observed)
+            };
+            let each = record(&|rec| cycles.iter().map(|c| rec.observe(c)).sum());
+            let runs = record(&|rec| rec.observe_log(&log));
+            prop_assert_eq!(runs.0, gain);
+            prop_assert_eq!(runs, each);
+        }
     }
 }

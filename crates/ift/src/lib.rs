@@ -27,6 +27,10 @@
 //!
 //! * [`census::Census`] — per-module tainted-register counts and the global
 //!   taint sum (Figure 6's y-axis),
+//! * [`census::TaintLog`] — one census per simulated cycle, stored as runs
+//!   of identical consecutive censuses (a simulator's counts rarely change
+//!   from one cycle to the next); its accessors still speak per cycle,
+//!   and [`census::TaintLog::runs`] lets a consumer fold each run once,
 //! * [`coverage::CoverageMatrix`] — the taint coverage matrix: one bitmap
 //!   slot per (module, tainted-register-count) tuple (§4.2.2),
 //! * [`liveness`] — taint liveness annotations binding buffer arrays to

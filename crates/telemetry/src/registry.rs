@@ -41,6 +41,9 @@ impl InstrumentKind {
 #[derive(Debug, Clone)]
 enum Instrument {
     Counter(Arc<Counter>),
+    /// A counter family split by one label: the label's name, then one
+    /// counter per label value.
+    LabelledCounter(String, BTreeMap<String, Arc<Counter>>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
@@ -48,7 +51,7 @@ enum Instrument {
 impl Instrument {
     fn kind(&self) -> InstrumentKind {
         match self {
-            Instrument::Counter(_) => InstrumentKind::Counter,
+            Instrument::Counter(_) | Instrument::LabelledCounter(..) => InstrumentKind::Counter,
             Instrument::Gauge(_) => InstrumentKind::Gauge,
             Instrument::Histogram(_) => InstrumentKind::Histogram,
         }
@@ -92,8 +95,44 @@ impl Registry {
         });
         match &entry.instrument {
             Instrument::Counter(c) => Arc::clone(c),
+            Instrument::LabelledCounter(label, _) => panic!(
+                "metric {name:?} already registered as a counter labelled {label:?}, \
+                 requested an unlabelled counter"
+            ),
             other => panic!(
                 "metric {name:?} already registered as {:?}, requested counter",
+                other.kind()
+            ),
+        }
+    }
+
+    /// The counter of the series `name{label="value"}`, creating the
+    /// family with `help` and the series on first use. One family has one
+    /// label name; its series render together under one `# TYPE` line
+    /// (and as `"name{label=\"value\"}"` keys in the JSON dump).
+    ///
+    /// # Panics
+    /// If `name` is registered as an unlabelled instrument or under a
+    /// different label name — a programming error, like a kind mismatch.
+    pub fn labelled_counter(
+        &self,
+        name: &str,
+        help: &str,
+        label: &str,
+        value: &str,
+    ) -> Arc<Counter> {
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
+            help: help.to_string(),
+            instrument: Instrument::LabelledCounter(label.to_string(), BTreeMap::new()),
+        });
+        match &mut entry.instrument {
+            Instrument::LabelledCounter(l, series) if l == label => {
+                Arc::clone(series.entry(value.to_string()).or_default())
+            }
+            other => panic!(
+                "metric {name:?} already registered as {:?}, requested a counter \
+                 labelled {label:?}",
                 other.kind()
             ),
         }
@@ -169,6 +208,11 @@ impl Registry {
                 Instrument::Counter(c) => {
                     let _ = writeln!(out, "{name} {}", c.get());
                 }
+                Instrument::LabelledCounter(label, series) => {
+                    for (value, c) in series {
+                        let _ = writeln!(out, "{name}{{{label}=\"{value}\"}} {}", c.get());
+                    }
+                }
                 Instrument::Gauge(g) => {
                     let _ = writeln!(out, "{name} {}", g.get());
                 }
@@ -225,6 +269,15 @@ impl Registry {
                         counters.push(',');
                     }
                     let _ = write!(counters, "{}:{}", json_string(name), c.get());
+                }
+                Instrument::LabelledCounter(label, series) => {
+                    for (value, c) in series {
+                        if !counters.is_empty() {
+                            counters.push(',');
+                        }
+                        let series_name = format!("{name}{{{label}=\"{value}\"}}");
+                        let _ = write!(counters, "{}:{}", json_string(&series_name), c.get());
+                    }
                 }
                 Instrument::Gauge(g) => {
                     if !gauges.is_empty() {
@@ -389,5 +442,43 @@ mod tests {
             r.render_json(),
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
         );
+    }
+
+    #[test]
+    fn labelled_counters_share_one_family() {
+        let _serial = recording_test_lock();
+        let r = Registry::new();
+        let residue = r.labelled_counter("rejected_total", "rejections", "reason", "residue");
+        let sanitized = r.labelled_counter("rejected_total", "ignored", "reason", "sanitized");
+        residue.add(2);
+        sanitized.inc();
+        assert_eq!(
+            r.labelled_counter("rejected_total", "", "reason", "residue")
+                .get(),
+            2,
+            "the same series is returned again"
+        );
+        assert_eq!(r.kind("rejected_total"), Some(InstrumentKind::Counter));
+        let text = r.render_prometheus();
+        assert_eq!(text.matches("# TYPE rejected_total counter\n").count(), 1);
+        assert!(text.contains(
+            "# HELP rejected_total rejections\n# TYPE rejected_total counter\n\
+             rejected_total{reason=\"residue\"} 2\n\
+             rejected_total{reason=\"sanitized\"} 1\n"
+        ));
+        assert_eq!(
+            r.render_json(),
+            "{\"counters\":{\"rejected_total{reason=\\\"residue\\\"}\":2,\
+             \"rejected_total{reason=\\\"sanitized\\\"}\":1},\
+             \"gauges\":{},\"histograms\":{}}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn labelled_family_refuses_a_second_label_name() {
+        let r = Registry::new();
+        let _ = r.labelled_counter("y_total", "a family", "reason", "a");
+        let _ = r.labelled_counter("y_total", "a family", "stage", "b");
     }
 }

@@ -45,6 +45,8 @@ pub struct Cache {
     /// Taint of the cached line's *data* (set when tainted data was filled
     /// or when the fill address was secret-dependent).
     line_taint: Vec<u64>,
+    /// Lines whose `line_taint` is nonzero, kept in step with every write.
+    tainted: usize,
     line_bytes: u64,
     hit_latency: u64,
     miss_latency: u64,
@@ -64,6 +66,7 @@ impl Cache {
             tags_a: vec![None; lines],
             tags_b: vec![None; lines],
             line_taint: vec![0; lines],
+            tainted: 0,
             line_bytes,
             hit_latency,
             miss_latency,
@@ -92,9 +95,9 @@ impl Cache {
             } else {
                 0
             };
-        self.line_taint[ia] |= line_taint;
+        self.taint_line(ia, line_taint);
         if ib != ia {
-            self.line_taint[ib] |= line_taint;
+            self.taint_line(ib, line_taint);
         }
         Probe {
             lat_a: if hit_a {
@@ -110,6 +113,12 @@ impl Cache {
             hit_a,
             hit_b,
         }
+    }
+
+    fn taint_line(&mut self, i: usize, taint: u64) {
+        let was = self.line_taint[i];
+        self.line_taint[i] |= taint;
+        crate::retaint(&mut self.tainted, was, self.line_taint[i]);
     }
 
     /// Probes without allocating (lookup only).
@@ -146,6 +155,7 @@ impl Cache {
     pub fn reset(&mut self) {
         self.flush();
         self.line_taint.iter_mut().for_each(|t| *t = 0);
+        self.tainted = 0;
     }
 
     /// Per-line validity (plane union) — the line liveness vector.
@@ -173,9 +183,15 @@ impl Cache {
             .count()
     }
 
-    /// Reports into a census sweep.
+    /// Reports into a census sweep: the kept tainted-line count, O(1).
     pub fn census(&self, census: &mut Census) {
-        census.report(self.module, self.taints());
+        debug_assert_eq!(
+            self.tainted,
+            self.taints().filter(|&t| t != 0).count(),
+            "{}: kept tainted count drifted from a rescan",
+            self.module
+        );
+        census.report_counts(self.module, self.tainted, self.line_taint.len());
     }
 
     /// FNV-style hash of one plane's residency state (SpecDoctor's
@@ -217,6 +233,8 @@ struct Mshr {
 pub struct LineFillBuffer {
     entries: Vec<Mshr>,
     next: usize,
+    /// Entries whose fill data is tainted, kept in step with every write.
+    tainted: usize,
 }
 
 impl LineFillBuffer {
@@ -225,6 +243,7 @@ impl LineFillBuffer {
         LineFillBuffer {
             entries: vec![Mshr::default(); entries],
             next: 0,
+            tainted: 0,
         }
     }
 
@@ -233,6 +252,7 @@ impl LineFillBuffer {
     pub fn allocate(&mut self, addr: u64, data: TWord, done_at: u64) {
         let slot = self.next;
         self.next = (self.next + 1) % self.entries.len();
+        crate::retaint(&mut self.tainted, self.entries[slot].data.t, data.t);
         self.entries[slot] = Mshr {
             valid: true,
             addr,
@@ -290,11 +310,17 @@ impl LineFillBuffer {
     pub fn reset(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = Mshr::default());
         self.next = 0;
+        self.tainted = 0;
     }
 
-    /// Reports into a census sweep.
+    /// Reports into a census sweep: the kept tainted-entry count, O(1).
     pub fn census(&self, census: &mut Census) {
-        census.report("lfb", self.taints());
+        debug_assert_eq!(
+            self.tainted,
+            self.taints().filter(|&t| t != 0).count(),
+            "lfb: kept tainted count drifted from a rescan"
+        );
+        census.report_counts("lfb", self.tainted, self.entries.len());
     }
 }
 
@@ -498,5 +524,47 @@ mod tests {
         tlb.census(&mut census);
         assert!(census.module_tainted("tlb").unwrap() >= 1);
         assert!(census.module_tainted("l2tlb").unwrap() >= 1);
+    }
+
+    use crate::testrng::{rescan, tword};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn kept_tainted_counts_equal_a_rescan() {
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut c = Cache::new("dcache", 8, 64, 2, 20);
+            let mut lfb = LineFillBuffer::new(4);
+            let mut tlb = Tlb::new(4, 8, 4096, 12);
+            for cycle in 0..200u64 {
+                match rng.gen_range(0..10) {
+                    0 => c.flush(),
+                    1 => c.reset(),
+                    2 => lfb.reset(),
+                    3 => tlb.reset(),
+                    4 => lfb.tick(cycle),
+                    _ => {
+                        let taint = [0, 0xFF, u64::MAX][rng.gen_range(0..3)];
+                        c.access(tword(&mut rng, 0x4000), taint);
+                        let addr = rng.gen_range(0..0x4000);
+                        lfb.allocate(addr, tword(&mut rng, 0x4000), cycle + 5);
+                        tlb.translate(tword(&mut rng, 0x40_000), taint);
+                    }
+                }
+                let mut census = Census::new();
+                c.census(&mut census);
+                lfb.census(&mut census);
+                tlb.census(&mut census);
+                assert_eq!(census.module_tainted("dcache"), Some(rescan(c.taints())));
+                assert_eq!(census.module_tainted("lfb"), Some(rescan(lfb.taints())));
+                assert_eq!(census.module_tainted("tlb"), Some(rescan(tlb.taints())));
+                assert_eq!(
+                    census.module_tainted("l2tlb"),
+                    Some(rescan(tlb.l2_taints()))
+                );
+                assert_eq!(census.register_count(), 8 + 4 + 4 + 8);
+            }
+        }
     }
 }

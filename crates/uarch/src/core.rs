@@ -235,6 +235,9 @@ pub struct Core {
 
     trace: Trace,
     taint_log: TaintLog,
+    /// The census each cycle refills, so a cycle allocates nothing unless
+    /// its counts differ from the previous cycle's.
+    census_buf: Census,
     timing_events: Vec<TimingEvent>,
     /// Indirect-jump correction that resolved this cycle (B3 race input).
     jump_resolved_this_cycle: Option<TWord>,
@@ -292,6 +295,7 @@ impl Core {
             wb_port: PortState::default(),
             trace: Trace::new(),
             taint_log: TaintLog::new(),
+            census_buf: Census::new(),
             timing_events: Vec::new(),
             jump_resolved_this_cycle: None,
             cellift_exploded: false,
@@ -385,7 +389,8 @@ impl Core {
             self.fetch(mem);
         }
         if self.policy.mode().tracks_taint() {
-            let census = self.census(mem);
+            let mut census = std::mem::take(&mut self.census_buf);
+            self.census_into(&mut census);
             if self.policy.mode() == IftMode::CellIft {
                 // CellIFT instruments at the cell (bit) level: its shadow
                 // circuit evaluates 64 shadow bits per word register every
@@ -399,7 +404,8 @@ impl Core {
                 }
                 std::hint::black_box(bit_work);
             }
-            self.taint_log.push(census);
+            self.taint_log.push_ref(&census);
+            self.census_buf = census;
         }
         self.cycle += 1;
     }
@@ -1258,9 +1264,21 @@ impl Core {
     // ---- observation ----
 
     /// Per-cycle taint census across every module (§4.2.2's per-module
-    /// bitmap source).
-    pub fn census(&self, mem: &SwapMem) -> Census {
+    /// bitmap source), in a fresh allocation; the simulation loop refills
+    /// one reused census instead. The predictor and cache structures
+    /// report the tainted-entry counts they keep as their taints are
+    /// written, so their share costs O(1) per module; the core's own
+    /// state (pc, register files, the RoB window and the LSU, about a
+    /// hundred words) is rescanned.
+    pub fn census(&self) -> Census {
         let mut c = Census::new();
+        self.census_into(&mut c);
+        c
+    }
+
+    /// Refills `c` with this cycle's census (see [`Core::census`]).
+    fn census_into(&self, c: &mut Census) {
+        c.clear();
         if self.cellift_exploded {
             // Every register of every module is tainted — the taint
             // explosion plateau of Figure 6's CellIFT curve.
@@ -1283,7 +1301,7 @@ impl Core {
             ] {
                 c.report_counts(module, regs, regs);
             }
-            return c;
+            return;
         }
         c.report("frontend", [self.pc.t]);
         c.report("regfile", self.regs.iter().map(|r| r.t));
@@ -1314,18 +1332,16 @@ impl Core {
                 .chain(std::iter::repeat(0))
                 .take(self.cfg.sq_entries),
         );
-        self.bht.census(&mut c);
-        self.btb.census(&mut c);
-        self.ras.census(&mut c);
-        self.loopp.census(&mut c);
-        self.icache.census(&mut c);
-        self.dcache.census(&mut c);
-        self.lfb.census(&mut c);
-        self.tlb.census(&mut c);
+        self.bht.census(c);
+        self.btb.census(c);
+        self.ras.census(c);
+        self.loopp.census(c);
+        self.icache.census(c);
+        self.dcache.census(c);
+        self.lfb.census(c);
+        self.tlb.census(c);
         // (The backing memory is not a DUT module; its taints surface via
         // the dcache/LFB censuses, as on the RTL.)
-        let _ = mem;
-        c
     }
 
     /// Disassembles the reorder buffer for bug reports and debugging:

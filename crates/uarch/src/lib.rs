@@ -23,6 +23,11 @@
 //! * **timing events** from contended resources (Table 5's encoded timing
 //!   components) and per-variant cycle counts (Phase 3.1 constant-time
 //!   analysis).
+//!
+//! The per-cycle census costs O(modules) for the predictor and cache
+//! structures: each keeps its count of tainted entries in step with every
+//! write to its taints, and a `debug_assert` checks that count against a
+//! rescan whenever it reports.
 
 pub mod attacks;
 pub mod cache;
@@ -35,3 +40,33 @@ pub mod waveform;
 pub use config::{annotations, boom_small, xiangshan_minimal, BugSet, CoreConfig};
 pub use core::{Core, EndReason, RedirectKind, RunResult, TimingEvent, Unit};
 pub use trace::{RobEvent, Trace, WindowInfo};
+
+/// Keeps a structure's tainted-entry count in step with one entry write:
+/// `was` and `now` are the entry's shadow masks before and after it.
+pub(crate) fn retaint(count: &mut usize, was: u64, now: u64) {
+    *count = *count + usize::from(now != 0) - usize::from(was != 0);
+}
+
+/// Random operands for the structures' kept-count unit tests.
+#[cfg(test)]
+pub(crate) mod testrng {
+    use dejavuzz_ift::TWord;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// A word below `range` per plane: clean, tainted with equal planes,
+    /// or tainted with diverged planes.
+    pub(crate) fn tword(rng: &mut StdRng, range: u64) -> TWord {
+        let a = rng.gen_range(0..range);
+        match rng.gen_range(0..3) {
+            0 => TWord::lit(a),
+            1 => TWord::with_taint(a, a, 1 << rng.gen_range(0..64)),
+            _ => TWord::with_taint(a, rng.gen_range(0..range), u64::MAX),
+        }
+    }
+
+    /// The number of tainted entries, by rescan.
+    pub(crate) fn rescan(taints: impl Iterator<Item = u64>) -> usize {
+        taints.filter(|&t| t != 0).count()
+    }
+}

@@ -11,6 +11,8 @@ use dejavuzz_ift::{Census, Policy, TWord};
 #[derive(Clone, Debug)]
 pub struct Bht {
     counters: Vec<TWord>,
+    /// Counters with a tainted bit, kept in step with every write.
+    tainted: usize,
 }
 
 impl Bht {
@@ -18,6 +20,7 @@ impl Bht {
     pub fn new(entries: usize) -> Self {
         Bht {
             counters: vec![TWord::lit(1); entries],
+            tainted: 0,
         }
     }
 
@@ -50,7 +53,9 @@ impl Bht {
             b: c.b.saturating_sub(1),
             t: c.t,
         };
-        self.counters[i] = policy.mux(taken, inc, dec);
+        let next = policy.mux(taken, inc, dec);
+        crate::retaint(&mut self.tainted, c.t, next.t);
+        self.counters[i] = next;
     }
 
     /// Whether a counter is away from its reset value (the "trained"
@@ -67,11 +72,17 @@ impl Bht {
     /// Resets every counter (new fuzzing iteration).
     pub fn reset(&mut self) {
         self.counters.iter_mut().for_each(|c| *c = TWord::lit(1));
+        self.tainted = 0;
     }
 
-    /// Reports into a census sweep.
+    /// Reports into a census sweep: the kept tainted-entry count, O(1).
     pub fn census(&self, census: &mut Census) {
-        census.report("bht", self.taints());
+        debug_assert_eq!(
+            self.tainted,
+            self.taints().filter(|&t| t != 0).count(),
+            "bht: kept tainted count drifted from a rescan"
+        );
+        census.report_counts("bht", self.tainted, self.counters.len());
     }
 }
 
@@ -80,6 +91,8 @@ impl Bht {
 pub struct Btb {
     tags: Vec<Option<u64>>,
     targets: Vec<TWord>,
+    /// Targets with a tainted bit, kept in step with every write.
+    tainted: usize,
 }
 
 impl Btb {
@@ -88,6 +101,7 @@ impl Btb {
         Btb {
             tags: vec![None; entries],
             targets: vec![TWord::lit(0); entries],
+            tainted: 0,
         }
     }
 
@@ -106,6 +120,7 @@ impl Btb {
     pub fn update(&mut self, pc: u64, target: TWord) {
         let i = self.index(pc);
         self.tags[i] = Some(pc);
+        crate::retaint(&mut self.tainted, self.targets[i].t, target.t);
         self.targets[i] = target;
     }
 
@@ -128,11 +143,17 @@ impl Btb {
     pub fn reset(&mut self) {
         self.tags.iter_mut().for_each(|t| *t = None);
         self.targets.iter_mut().for_each(|t| *t = TWord::lit(0));
+        self.tainted = 0;
     }
 
-    /// Reports into a census sweep.
+    /// Reports into a census sweep: the kept tainted-entry count, O(1).
     pub fn census(&self, census: &mut Census) {
-        census.report("btb", self.taints());
+        debug_assert_eq!(
+            self.tainted,
+            self.taints().filter(|&t| t != 0).count(),
+            "btb: kept tainted count drifted from a rescan"
+        );
+        census.report_counts("btb", self.tainted, self.targets.len());
     }
 }
 
@@ -157,6 +178,8 @@ pub struct Ras {
     /// When true (B2 fixed / XiangShan), checkpoints capture the whole
     /// stack; when false (BOOM), only TOS + top entry are restored.
     full_restore: bool,
+    /// Slots with a tainted bit, kept in step with every write.
+    tainted: usize,
 }
 
 impl Ras {
@@ -167,17 +190,24 @@ impl Ras {
             stack: vec![TWord::lit(0); entries],
             tos: 0,
             full_restore,
+            tainted: 0,
         }
+    }
+
+    fn write(&mut self, slot: usize, ra: TWord) {
+        crate::retaint(&mut self.tainted, self.stack[slot].t, ra.t);
+        self.stack[slot] = ra;
     }
 
     /// Pushes a return address (speculative, at fetch of a call).
     pub fn push(&mut self, ra: TWord) {
         if self.tos < self.stack.len() {
-            self.stack[self.tos] = ra;
+            self.write(self.tos, ra);
             self.tos += 1;
         } else {
             // Saturating stack: overwrite the top (simple overflow policy).
-            *self.stack.last_mut().expect("RAS has at least one slot") = ra;
+            assert!(!self.stack.is_empty(), "RAS has at least one slot");
+            self.write(self.stack.len() - 1, ra);
         }
     }
 
@@ -216,10 +246,13 @@ impl Ras {
     pub fn restore(&mut self, cp: &RasCheckpoint) {
         self.tos = cp.tos;
         match &cp.full_stack {
-            Some(full) => self.stack.clone_from(full),
+            Some(full) => {
+                self.stack.clone_from(full);
+                self.tainted = self.taints().filter(|&t| t != 0).count();
+            }
             None => {
                 if cp.tos > 0 {
-                    self.stack[cp.tos - 1] = cp.top_entry;
+                    self.write(cp.tos - 1, cp.top_entry);
                 }
             }
         }
@@ -245,11 +278,17 @@ impl Ras {
     pub fn reset(&mut self) {
         self.tos = 0;
         self.stack.iter_mut().for_each(|e| *e = TWord::lit(0));
+        self.tainted = 0;
     }
 
-    /// Reports into a census sweep.
+    /// Reports into a census sweep: the kept tainted-entry count, O(1).
     pub fn census(&self, census: &mut Census) {
-        census.report("ras", self.taints());
+        debug_assert_eq!(
+            self.tainted,
+            self.taints().filter(|&t| t != 0).count(),
+            "ras: kept tainted count drifted from a rescan"
+        );
+        census.report_counts("ras", self.tainted, self.stack.len());
     }
 }
 
@@ -266,6 +305,13 @@ struct LoopEntry {
     conf: u8,
 }
 
+impl LoopEntry {
+    /// The entry's census taint: limit or count tainted.
+    fn taint(&self) -> u64 {
+        self.limit.t | self.count.t
+    }
+}
+
 /// A loop predictor: learns a branch's trip count and predicts the exit
 /// iteration. Training it takes *much longer* than training the bimodal
 /// table — the paper's "Training Preference" discussion (§7) notes the
@@ -273,6 +319,9 @@ struct LoopEntry {
 #[derive(Clone, Debug)]
 pub struct LoopPredictor {
     entries: Vec<LoopEntry>,
+    /// Entries whose limit or count is tainted, kept in step with every
+    /// write.
+    tainted: usize,
 }
 
 /// Observations of the same trip count before the loop predictor engages.
@@ -283,6 +332,7 @@ impl LoopPredictor {
     pub fn new(entries: usize) -> Self {
         LoopPredictor {
             entries: vec![LoopEntry::default(); entries],
+            tainted: 0,
         }
     }
 
@@ -306,6 +356,7 @@ impl LoopPredictor {
     pub fn update(&mut self, pc: u64, taken: TWord) {
         let i = self.index(pc);
         let e = &mut self.entries[i];
+        let was = e.taint();
         if e.tag != Some(pc) {
             *e = LoopEntry {
                 tag: Some(pc),
@@ -324,6 +375,8 @@ impl LoopPredictor {
             }
             e.count = TWord::lit(0);
         }
+        let now = e.taint();
+        crate::retaint(&mut self.tainted, was, now);
     }
 
     /// Confidence-based liveness vector.
@@ -333,7 +386,7 @@ impl LoopPredictor {
 
     /// Per-entry taints (limit or count tainted).
     pub fn taints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| e.limit.t | e.count.t)
+        self.entries.iter().map(LoopEntry::taint)
     }
 
     /// Clears the table.
@@ -341,11 +394,17 @@ impl LoopPredictor {
         self.entries
             .iter_mut()
             .for_each(|e| *e = LoopEntry::default());
+        self.tainted = 0;
     }
 
-    /// Reports into a census sweep.
+    /// Reports into a census sweep: the kept tainted-entry count, O(1).
     pub fn census(&self, census: &mut Census) {
-        census.report("loop", self.taints());
+        debug_assert_eq!(
+            self.tainted,
+            self.taints().filter(|&t| t != 0).count(),
+            "loop: kept tainted count drifted from a rescan"
+        );
+        census.report_counts("loop", self.tainted, self.entries.len());
     }
 }
 
@@ -568,5 +627,69 @@ mod tests {
         lp.update(pc, TWord::lit(1));
         let (t, _) = lp.predict(pc).expect("confident");
         assert!(!t, "at the learned limit the exit is predicted");
+    }
+
+    use crate::testrng::{rescan, tword};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn reported(report: impl FnOnce(&mut Census), module: &str) -> Option<usize> {
+        let mut census = Census::new();
+        report(&mut census);
+        census.module_tainted(module)
+    }
+
+    #[test]
+    fn kept_tainted_counts_equal_a_rescan() {
+        let policies = [Policy::new(IftMode::DiffIft), Policy::new(IftMode::CellIft)];
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut bht = Bht::new(8);
+            let mut btb = Btb::new(8);
+            let mut ras = Ras::new(4, seed % 2 == 0);
+            let mut lp = LoopPredictor::new(4);
+            let mut checkpoints = Vec::new();
+            for _ in 0..300 {
+                let pc = rng.gen_range(0..16u64) * 4;
+                match rng.gen_range(0..12) {
+                    0 => bht.reset(),
+                    1 => btb.reset(),
+                    2 => ras.reset(),
+                    3 => lp.reset(),
+                    4 => checkpoints.push(ras.checkpoint()),
+                    5 => {
+                        if let Some(cp) = checkpoints.pop() {
+                            ras.restore(&cp);
+                        }
+                    }
+                    6 => {
+                        ras.pop();
+                    }
+                    _ => {
+                        let policy = policies[rng.gen_range(0..2)];
+                        bht.update(policy, pc, tword(&mut rng, 2));
+                        btb.update(pc, tword(&mut rng, 0x1000));
+                        ras.push(tword(&mut rng, 0x1000));
+                        lp.update(pc, tword(&mut rng, 2));
+                    }
+                }
+                assert_eq!(
+                    reported(|c| bht.census(c), "bht"),
+                    Some(rescan(bht.taints()))
+                );
+                assert_eq!(
+                    reported(|c| btb.census(c), "btb"),
+                    Some(rescan(btb.taints()))
+                );
+                assert_eq!(
+                    reported(|c| ras.census(c), "ras"),
+                    Some(rescan(ras.taints()))
+                );
+                assert_eq!(
+                    reported(|c| lp.census(c), "loop"),
+                    Some(rescan(lp.taints()))
+                );
+            }
+        }
     }
 }

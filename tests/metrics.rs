@@ -13,10 +13,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use dejavuzz::backend::BackendSpec;
+use dejavuzz::backend::{BackendError, BackendSpec, RunDemand, RunOutcome, SimBackend};
 use dejavuzz::builder::CampaignBuilder;
+use dejavuzz::gen::TransientPlan;
 use dejavuzz::observer::{CampaignObserver, JsonLinesObserver};
 use dejavuzz::scheduler::SchedulerSpec;
+use dejavuzz_ift::IftMode;
+use dejavuzz_swapmem::SwapPacket;
 use dejavuzz_uarch::boom_small;
 use proptest::prelude::*;
 
@@ -170,6 +173,127 @@ fn recorded_campaign_populates_the_registry() {
     assert!(m.busy_nanos.get() > 0, "report gauges were folded in");
     let json = dejavuzz::metrics::registry_json();
     assert!(json.contains("\"dejavuzz_iterations_total\""), "{json}");
+}
+
+/// Phase-3 rejections recomputed from a campaign's own runs.
+#[derive(Debug, Default)]
+struct Rejections {
+    residue: u64,
+    sanitized: u64,
+    /// Phase-3 sanitised runs seen.
+    phase3_runs: u64,
+}
+
+/// A behavioural backend that re-applies phase 3's two sink filters to
+/// the runs it serves. Phase 2 demands every field and the campaign
+/// keeps its last attempt; phase 3's sanitised re-run demands only the
+/// sinks and follows it on the same worker.
+#[derive(Debug)]
+struct FilterWitness {
+    inner: Box<dyn SimBackend>,
+    phase2: Option<RunOutcome>,
+    tally: Arc<Mutex<Rejections>>,
+}
+
+impl SimBackend for FilterWitness {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn dut_name(&self) -> &'static str {
+        self.inner.dut_name()
+    }
+    fn supports_taint(&self) -> bool {
+        self.inner.supports_taint()
+    }
+    fn run(
+        &mut self,
+        plan: &TransientPlan,
+        schedule: &[SwapPacket],
+        mode: IftMode,
+        max_cycles: u64,
+    ) -> Result<RunOutcome, BackendError> {
+        self.run_demand(plan, schedule, mode, max_cycles, RunDemand::ALL)
+    }
+    fn run_demand(
+        &mut self,
+        plan: &TransientPlan,
+        schedule: &[SwapPacket],
+        mode: IftMode,
+        max_cycles: u64,
+        demand: RunDemand,
+    ) -> Result<RunOutcome, BackendError> {
+        let out = self
+            .inner
+            .run_demand(plan, schedule, mode, max_cycles, demand)?;
+        if demand == RunDemand::ALL {
+            self.phase2 = Some(out.clone());
+        } else if demand == RunDemand::SINKS {
+            let p2 = self.phase2.take().expect("phase 2 precedes phase 3");
+            let mut tally = self.tally.lock().unwrap();
+            tally.phase3_runs += 1;
+            for sink in &p2.sinks {
+                let key = (sink.module, &sink.array, sink.index);
+                if out
+                    .sinks
+                    .iter()
+                    .any(|s| (s.module, &s.array, s.index) == key)
+                {
+                    tally.sanitized += 1;
+                } else if !sink.live {
+                    tally.residue += 1;
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// The `dejavuzz_phase3_rejected_total{reason=…}` counters equal the
+/// rejections recomputed from the runs of a small campaign, and both
+/// reasons actually occur in it.
+#[test]
+fn phase3_rejection_counters_match_the_campaigns_filters() {
+    let _serial = recording_serial();
+    let _restore = RecordingGuard;
+    dejavuzz_telemetry::set_recording(true);
+    let m = dejavuzz::metrics::handles();
+    let residue_before = m.phase3_rejected_residue_total.get();
+    let sanitized_before = m.phase3_rejected_sanitized_total.get();
+
+    let tally = Arc::new(Mutex::new(Rejections::default()));
+    let witness_tally = Arc::clone(&tally);
+    CampaignBuilder::new()
+        .backend_ctor("phase3-filter-witness", move || {
+            Box::new(FilterWitness {
+                inner: BackendSpec::behavioural(boom_small()).build(),
+                phase2: None,
+                tally: Arc::clone(&witness_tally),
+            })
+        })
+        .workers(2)
+        .seed(1)
+        .build()
+        .unwrap()
+        .run_observed(48, &mut []);
+
+    let tally = tally.lock().unwrap();
+    assert!(
+        tally.phase3_runs > 0 && tally.residue > 0 && tally.sanitized > 0,
+        "the campaign exercises both filters: {tally:?}"
+    );
+    assert_eq!(
+        m.phase3_rejected_residue_total.get() - residue_before,
+        tally.residue
+    );
+    assert_eq!(
+        m.phase3_rejected_sanitized_total.get() - sanitized_before,
+        tally.sanitized
+    );
+    let json = dejavuzz::metrics::registry_json();
+    assert!(
+        json.contains("\"dejavuzz_phase3_rejected_total{reason=\\\"residue\\\"}\":"),
+        "{json}"
+    );
 }
 
 proptest! {
